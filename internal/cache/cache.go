@@ -22,6 +22,7 @@ type line struct {
 type Cache struct {
 	name     string
 	sets     int
+	setMask  uint64 // sets-1 when sets is a power of two, else 0
 	ways     int
 	latency  int64
 	lines    []line // sets × ways; frozen shared storage in a COW clone
@@ -56,13 +57,17 @@ func New(name string, sizeBytes, ways int, latency int64) *Cache {
 	if sets < 1 {
 		sets = 1
 	}
-	return &Cache{
+	c := &Cache{
 		name:    name,
 		sets:    sets,
 		ways:    ways,
 		latency: latency,
 		lines:   make([]line, sets*ways),
 	}
+	if sets&(sets-1) == 0 {
+		c.setMask = uint64(sets - 1)
+	}
+	return c
 }
 
 // Name returns the level's name ("L1d", "L2", …).
@@ -72,8 +77,15 @@ func (c *Cache) Name() string { return c.name }
 func (c *Cache) Latency() int64 { return c.latency }
 
 func (c *Cache) set(addr int64) []line {
-	blk := addr / LineSize
-	s := int(uint64(blk) % uint64(c.sets))
+	blk := uint64(addr / LineSize)
+	// A power-of-two set count — every stock geometry — indexes with a mask
+	// instead of a division on the simulator's hottest path.
+	var s int
+	if c.setMask != 0 {
+		s = int(blk & c.setMask)
+	} else {
+		s = int(blk % uint64(c.sets))
+	}
 	if c.ownIdx == nil {
 		return c.lines[s*c.ways : (s+1)*c.ways]
 	}
@@ -171,12 +183,32 @@ func (c *Cache) Clone() *Cache {
 // touches a tiny fraction of a large cache's sets, so a COW clone replaces
 // megabytes of line copying per window with one sets-sized index.
 func (c *Cache) CloneCOW() *Cache {
-	cp := *c
-	cp.parent = c
-	cp.lines = nil // sets resolve through the chain; avoid stale shortcuts
-	cp.ownIdx = make([]int32, c.sets)
-	cp.owned = nil
-	return &cp
+	// The clone expects to touch about as many sets as c materialized over
+	// its own parent: reserve that much so its overlay grows without
+	// repeated copying.
+	cp := &Cache{owned: make([]line, 0, len(c.owned))}
+	cp.ResetCOW(c)
+	return cp
+}
+
+// ResetCOW turns c into a copy-on-write clone layered over parent, exactly
+// as parent.CloneCOW() would build it, but keeping c's overlay buffers (the
+// set index and the materialized-set storage) when they are large enough.
+// c must be a private clone no other cache layers over; sampled simulation
+// recycles one window core's caches across windows this way.
+func (c *Cache) ResetCOW(parent *Cache) {
+	idx, owned := c.ownIdx, c.owned
+	*c = *parent
+	c.parent = parent
+	c.lines = nil // sets resolve through the chain; avoid stale shortcuts
+	if cap(idx) >= parent.sets {
+		idx = idx[:parent.sets]
+		clear(idx)
+	} else {
+		idx = make([]int32, parent.sets)
+	}
+	c.ownIdx = idx
+	c.owned = owned[:0]
 }
 
 // shiftClock rebases every valid line's fill-completion timestamp by delta
@@ -230,9 +262,14 @@ func (h *Hierarchy) Prefetch(addr, cycle int64) {
 	h.access(addr, cycle, true)
 }
 
+// maxStackLevels is how many missed levels access tracks without touching
+// the heap; every hierarchy the core builds has at most three.
+const maxStackLevels = 3
+
 func (h *Hierarchy) access(addr, cycle int64, prefetch bool) int64 {
 	elapsed := int64(0)
-	var missLevels []*Cache
+	var missBuf [maxStackLevels]*Cache
+	missLevels := missBuf[:0]
 	for _, c := range h.Levels {
 		if !prefetch {
 			c.Accesses++
@@ -295,6 +332,33 @@ func (h *Hierarchy) CloneCOW() *Hierarchy {
 		cp.Levels[i] = c.CloneCOW()
 	}
 	return &cp
+}
+
+// ResetCOW turns h into a copy-on-write copy of parent (see
+// Cache.ResetCOW), reusing h's level objects and their overlay buffers. h
+// must be a private hierarchy that nothing else layers over or shares.
+func (h *Hierarchy) ResetCOW(parent *Hierarchy) {
+	levels := h.Levels
+	*h = *parent
+	if len(levels) != len(parent.Levels) {
+		levels = make([]*Cache, len(parent.Levels))
+	}
+	for i, c := range parent.Levels {
+		if levels[i] == nil {
+			levels[i] = new(Cache)
+		}
+		levels[i].ResetCOW(c)
+	}
+	h.Levels = levels
+}
+
+// ReleaseCOW drops a copy-on-write hierarchy's links to the hierarchy it
+// overlays, keeping its buffers for the next ResetCOW: a parked clone pins
+// nothing of its former parent. The hierarchy is unusable until then.
+func (h *Hierarchy) ReleaseCOW() {
+	for _, c := range h.Levels {
+		c.parent = nil
+	}
 }
 
 // ShiftClock rebases every line's fill-completion timestamp by delta cycles.

@@ -1,8 +1,10 @@
 package compiler
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/noreba-sim/noreba/internal/isa"
 	"github.com/noreba-sim/noreba/internal/program"
@@ -76,6 +78,18 @@ type Result struct {
 	Image   *program.Image
 	Meta    *Meta
 	Stats   Stats
+
+	hashOnce sync.Once
+	hash     [sha256.Size]byte
+}
+
+// ImageHash returns Image.ContentHash(), computed on first use and then
+// carried with the result: every plan key, plan load and plan encode for
+// this compiled program shares one pass over the image. Image must not be
+// modified once the hash has been taken.
+func (r *Result) ImageHash() [sha256.Size]byte {
+	r.hashOnce.Do(func() { r.hash = r.Image.ContentHash() })
+	return r.hash
 }
 
 // Compile runs the full branch-dependent code detection pass (§3 steps A–D)

@@ -35,9 +35,16 @@ type Machine struct {
 
 	IntRegs [32]int64
 	FPRegs  [32]float64
-	Mem     map[int64]int64
-	FMem    map[int64]float64
-	PC      int
+	// Mem and FMem are the machine's memory. On a machine from NewRestored
+	// they hold only the machine's own writes, and reads of other addresses
+	// fall through to the frozen snapshot maps in base and fbase; Snapshot
+	// returns the merged view.
+	Mem  map[int64]int64
+	FMem map[int64]float64
+	PC   int
+
+	base  map[int64]int64
+	fbase map[int64]float64
 
 	seq    int64
 	halted bool
@@ -215,9 +222,17 @@ func (m *Machine) StepInto(d *DynInst) error {
 			return &MemError{PC: pc, Seq: d.Seq, Addr: addr}
 		}
 		if in.Op == isa.OpLw {
-			m.writeInt(in.Rd, m.Mem[addr])
+			v, ok := m.Mem[addr]
+			if !ok {
+				v = m.base[addr]
+			}
+			m.writeInt(in.Rd, v)
 		} else {
-			m.writeFP(in.Rd, m.FMem[addr])
+			v, ok := m.FMem[addr]
+			if !ok {
+				v = m.fbase[addr]
+			}
+			m.writeFP(in.Rd, v)
 		}
 	case isa.OpSw, isa.OpFsw:
 		addr := m.readInt(in.Rs1) + in.Imm

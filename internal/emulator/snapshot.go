@@ -20,7 +20,9 @@ type Snapshot struct {
 	Halted  bool
 }
 
-// Snapshot captures the machine's architectural state.
+// Snapshot captures the machine's architectural state. The snapshot owns
+// full, independent memory maps even when the machine reads through to a
+// restored snapshot.
 func (m *Machine) Snapshot() Snapshot {
 	return Snapshot{
 		IntRegs: m.IntRegs,
@@ -28,9 +30,22 @@ func (m *Machine) Snapshot() Snapshot {
 		PC:      m.PC,
 		Seq:     m.seq,
 		Halted:  m.halted,
-		Mem:     cloneMap(m.Mem),
-		FMem:    cloneMap(m.FMem),
+		Mem:     mergeMap(m.base, m.Mem),
+		FMem:    mergeMap(m.fbase, m.FMem),
 	}
+}
+
+// mergeMap returns a fresh map holding base overlaid with writes. Machine
+// memory is never deleted from, so the overlay is the whole view.
+func mergeMap[M ~map[K]V, K comparable, V any](base, writes M) M {
+	if len(base) == 0 {
+		return cloneMap(writes)
+	}
+	merged := cloneMap(base)
+	for k, v := range writes {
+		merged[k] = v
+	}
+	return merged
 }
 
 // cloneMap is maps.Clone that never returns nil: machine memory maps must
@@ -50,22 +65,37 @@ func cloneMap[M ~map[K]V, K comparable, V any](src M) M {
 // windows — rebases the counter after Restore.
 func (m *Machine) RebaseSeq() { m.seq = 0 }
 
-// Restore replaces the machine's architectural state with the snapshot.
+// Restore replaces the machine's architectural state with the snapshot,
+// copying its memory into the machine's own maps.
 func (m *Machine) Restore(s Snapshot) {
+	m.restoreRegs(s)
+	m.Mem = cloneMap(s.Mem)
+	m.FMem = cloneMap(s.FMem)
+	m.base, m.fbase = nil, nil
+}
+
+func (m *Machine) restoreRegs(s Snapshot) {
 	m.IntRegs = s.IntRegs
 	m.FPRegs = s.FPRegs
 	m.PC = s.PC
 	m.seq = s.Seq
 	m.halted = s.Halted
-	m.Mem = cloneMap(s.Mem)
-	m.FMem = cloneMap(s.FMem)
 }
 
-// NewRestored creates a machine directly in the snapshot's state, skipping
-// New's load of the image's initial data that Restore would immediately
-// replace. Sampled simulation builds a machine per detailed window this way.
+// NewRestored creates a machine directly in the snapshot's state without
+// copying its memory: the machine reads through to s's maps and keeps only
+// its own writes, so its set-up cost is independent of the program's data
+// size. s's maps must not change while the machine is live. Sampled
+// simulation builds a machine per detailed window this way, all reading one
+// frozen checkpoint.
 func NewRestored(img *program.Image, s Snapshot) *Machine {
-	m := &Machine{img: img}
-	m.Restore(s)
+	m := &Machine{
+		img:   img,
+		Mem:   make(map[int64]int64),
+		FMem:  make(map[int64]float64),
+		base:  s.Mem,
+		fbase: s.FMem,
+	}
+	m.restoreRegs(s)
 	return m
 }

@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/noreba-sim/noreba/internal/program"
@@ -82,5 +83,61 @@ main:
 	}
 	if snap.IntRegs[10] != 7 {
 		t.Error("snapshot registers aliased the machine")
+	}
+}
+
+// TestRestoredSnapshotIsFullAndIndependent: a machine from NewRestored reads
+// through to its checkpoint instead of copying it, but its Snapshot must
+// still be the whole architectural state, owned outright — equal to the
+// snapshot of a machine that ran the same instructions with its own memory,
+// unaffected by later writes, and leaving the checkpoint it read untouched.
+func TestRestoredSnapshotIsFullAndIndependent(t *testing.T) {
+	img, err := progtest.Generate(3).Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := New(img)
+	if _, err := probe.Run(1 << 16); err != nil {
+		t.Fatal(err)
+	}
+	half := probe.Seq() / 2
+
+	ref := New(img)
+	for ref.Seq() < half {
+		if _, err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckpt := ref.Snapshot()
+	frozen := ref.Snapshot() // a second copy to detect writes into ckpt
+
+	m := NewRestored(img, ckpt)
+	for i := 0; i < 200 && !ref.Halted(); i++ {
+		if _, err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.Mem)+len(m.FMem) == 0 {
+		t.Fatal("no stores in the stepped span: the read-through overlay is not exercised")
+	}
+	got, want := m.Snapshot(), ref.Snapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("restored machine's snapshot differs from the continuous machine's")
+	}
+	if !reflect.DeepEqual(ckpt, frozen) {
+		t.Fatal("restored machine wrote into the checkpoint it reads through")
+	}
+	for a := range got.Mem {
+		m.Mem[a]++
+		if got.Mem[a] != want.Mem[a] {
+			t.Fatalf("snapshot memory aliased the machine at %#x", a)
+		}
+		break
+	}
+	if len(got.Mem) < len(ckpt.Mem) {
+		t.Fatalf("snapshot holds %d words, checkpoint %d: not a full snapshot", len(got.Mem), len(ckpt.Mem))
 	}
 }

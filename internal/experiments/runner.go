@@ -435,9 +435,9 @@ func (r *Runner) buildPlan(ctx context.Context, workload string, p sampling.Para
 	)
 	if b, ok := r.Store.(BlobStore); ok {
 		bs = b
-		blobKey = sampling.PlanKey(res.Image, r.MaxInsts, p)
+		blobKey = sampling.PlanKey(res.ImageHash(), r.MaxInsts, p)
 		if data, ok := bs.GetBlob(blobKey); ok {
-			if pl, err := sampling.LoadPlan(data, res.Image, r.MaxInsts, p); err == nil {
+			if pl, err := sampling.LoadPlanHashed(data, res.Image, res.ImageHash(), r.MaxInsts, p); err == nil {
 				r.planStoreHits.Add(1)
 				return pl, nil
 			}

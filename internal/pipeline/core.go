@@ -43,6 +43,9 @@ type Core struct {
 	dcache *cache.Hierarchy
 	icache *cache.Hierarchy
 	dcpt   *prefetch.DCPT
+	// ownsMem reports that dcache and icache are private to this core (not
+	// shared through UseMemory), so Reset may rebuild them in place.
+	ownsMem bool
 
 	cycle int64
 
@@ -166,9 +169,11 @@ const cancelCheckCycles = 4096
 // buffering is bounded by the in-flight span and reported in
 // Stats.WindowPeak.
 func NewCoreFromSource(cfg Config, src emulator.TraceSource, meta *compiler.Meta) *Core {
-	c := newCoreShell(cfg, src, meta)
+	c := &Core{}
+	c.resetShell(cfg, src, meta)
 	c.dcache = cfg.hierarchy()
 	c.icache = cfg.icache()
+	c.ownsMem = true
 	c.ras = branchpred.NewRAS(cfg.RASEntries)
 	switch cfg.Predictor {
 	case PredBimodal:
@@ -184,32 +189,98 @@ func NewCoreFromSource(cfg Config, src emulator.TraceSource, meta *compiler.Meta
 	return c
 }
 
-// NewWarmCoreFromSource builds a core whose entire microarchitectural state
-// comes from a warm-state capture: caches, predictor, prefetcher table and
-// RAS are installed from ws (see InstallWarmState) instead of being
-// allocated fresh and immediately replaced. Detailed sample windows use this
-// — a window is a few thousand instructions, and allocating a full cache
-// hierarchy per window would dwarf the window itself.
-func NewWarmCoreFromSource(cfg Config, src emulator.TraceSource, meta *compiler.Meta, ws *WarmState) *Core {
-	c := newCoreShell(cfg, src, meta)
-	c.InstallWarmState(ws)
-	return c
+// Reset re-initialises c in place as a core consuming src under cfg whose
+// entire microarchitectural state — caches, predictor, prefetcher table and
+// RAS — comes from the warm-state capture ws: the core a fresh
+// NewCoreFromSource would be after running the warming that produced ws.
+// ws must come from a core with the same cache and predictor geometry as
+// cfg. A zero Core is a valid receiver. A used one keeps its storage — the
+// entry pool, window chunks, completion wheel, queue capacity, the cache
+// overlay buffers and the predictor, RAS and prefetcher tables, which ws is
+// copied into — so a detailed sample window on a recycled core allocates
+// nothing once the storage has grown to the window's needs. The caches are
+// installed as copy-on-write clones over ws's frozen hierarchies: a window
+// touches a tiny fraction of the warmed lower levels, so sharing the capture
+// and materializing touched sets lazily replaces a per-window copy. ws must
+// not be mutated while a core reset over it is live (captures are shifted
+// once at capture time, then only read).
+func (c *Core) Reset(cfg Config, src emulator.TraceSource, meta *compiler.Meta, ws *WarmState) {
+	dcache, icache := c.dcache, c.icache
+	if !c.ownsMem {
+		dcache, icache = nil, nil // shared via UseMemory: never write into it
+	}
+	pred, ras, dcpt := c.pred, c.ras, c.dcpt
+	c.resetShell(cfg, src, meta)
+
+	if dcache == nil {
+		dcache = new(cache.Hierarchy)
+	}
+	if icache == nil {
+		icache = new(cache.Hierarchy)
+	}
+	dcache.ResetCOW(ws.dcache)
+	icache.ResetCOW(ws.icache)
+	c.dcache, c.icache, c.ownsMem = dcache, icache, true
+	c.pred = branchpred.CloneInto(pred, ws.pred)
+	if ras == nil {
+		ras = new(branchpred.RAS)
+	}
+	ras.CopyFrom(ws.ras)
+	c.ras = ras
+	if ws.dcpt != nil {
+		if dcpt == nil {
+			dcpt = new(prefetch.DCPT)
+		}
+		dcpt.CopyFrom(ws.dcpt)
+		c.dcpt = dcpt
+	}
 }
 
-// newCoreShell builds everything of a core except the microarchitectural
-// state (caches, predictor, prefetcher, RAS), which the caller supplies.
-func newCoreShell(cfg Config, src emulator.TraceSource, meta *compiler.Meta) *Core {
-	c := &Core{
-		cfg:  cfg,
-		win:  newWindow(src, cfg.Selective.BITSize),
-		meta: meta,
-		// The wheel horizon covers the longest issue-to-complete latency: a
-		// full-miss demand access behind in-flight fills, plus slack for
-		// divider latency and store-forwarding adjustments. It grows on
-		// demand if a configuration exceeds it.
-		wheel: newComplWheel(cfg.L1Lat + cfg.L2Lat + cfg.L3Lat + cfg.MemLat + 64),
+// Release drops the core's references to its stream, program metadata,
+// trace sink and the warm state its caches read through, keeping only its
+// storage: a core parked for a later Reset pins nothing of the run it
+// finished. The core is unusable until the next Reset.
+func (c *Core) Release() {
+	c.win.detach()
+	c.meta = nil
+	c.cfg.TraceSink, c.sink, c.traceOn = nil, nil, false
+	c.san = nil
+	if c.ownsMem {
+		c.dcache.ReleaseCOW()
+		c.icache.ReleaseCOW()
 	}
-	c.policy = newPolicy(cfg)
+}
+
+// resetShell re-initialises everything of a core except the
+// microarchitectural state (caches, predictor, prefetcher, RAS), which the
+// caller supplies. Per-run state starts from zero exactly as in a new core;
+// storage the previous run grew — entries, window chunks, wheel buckets,
+// queue backing arrays, the Selective ROB's structures — is kept.
+func (c *Core) resetShell(cfg Config, src emulator.TraceSource, meta *compiler.Meta) {
+	old := *c
+	*c = Core{cfg: cfg, meta: meta}
+	c.win = old.win.reset(src, cfg.Selective.BITSize)
+	c.pool = old.pool
+	c.pool.reclaim()
+	// The wheel horizon covers the longest issue-to-complete latency: a
+	// full-miss demand access behind in-flight fills, plus slack for
+	// divider latency and store-forwarding adjustments. It grows on demand
+	// if a configuration exceeds it.
+	c.wheel = old.wheel
+	c.wheel.reset(cfg.L1Lat + cfg.L2Lat + cfg.L3Lat + cfg.MemLat + 64)
+	c.ifq = old.ifq.cleared()
+	c.blockers = old.blockers.cleared()
+	c.untransMem = old.untransMem.cleared()
+	c.storeQueue = old.storeQueue[:0]
+	c.readyQ = old.readyQ[:0]
+	c.candQ = old.candQ[:0]
+	c.committedResidents = old.committedResidents[:0]
+	c.liveBranches = old.liveBranches[:0]
+	c.unresolvedBranches = old.unresolvedBranches[:0]
+	c.unmarkedUnresolved = old.unmarkedUnresolved[:0]
+	c.pendingMisp = old.pendingMisp[:0]
+	c.dead = old.dead[:0]
+	c.policy = resetPolicy(old.policy, cfg)
 	switch cfg.Policy {
 	case NonSpecOoO:
 		c.candMode = candCompletion
@@ -234,7 +305,6 @@ func newCoreShell(cfg Config, src emulator.TraceSource, meta *compiler.Meta) *Co
 	if cfg.Sanitize {
 		c.san = newSanitizer(c)
 	}
-	return c
 }
 
 // NewCore builds a core replaying a materialized trace. meta may be nil
@@ -247,7 +317,7 @@ func NewCore(cfg Config, tr *emulator.Trace, meta *compiler.Meta) *Core {
 // system uses this to share a last-level cache between cores; it must be
 // called before the first Step.
 func (c *Core) UseMemory(dcache, icache *cache.Hierarchy) {
-	c.dcache, c.icache = dcache, icache
+	c.dcache, c.icache, c.ownsMem = dcache, icache, false
 }
 
 // Done reports whether every stream instruction has committed: the commit
@@ -323,6 +393,11 @@ func (c *Core) Finalize() *Stats {
 	return &c.stats
 }
 
+// warmCancelCheckInsts is how often WarmFunctional polls its context: a
+// cancelled replay stops within a fraction of a millisecond instead of
+// finishing a warm span of up to a million instructions.
+const warmCancelCheckInsts = 1 << 16
+
 // WarmFunctional drains src through the core's long-lived microarchitectural
 // state — instruction and data caches, prefetcher, branch predictor,
 // return-address stack — without simulating pipeline timing (SMARTS-style
@@ -344,20 +419,58 @@ func (c *Core) Finalize() *Stats {
 // in-flight horizon at cycle 0 matches the continuous run's. Must be
 // called before the first Step; cache counters inflated by warming accesses
 // are cancelled by callers differencing statistics across a measurement
-// window.
-func (c *Core) WarmFunctional(src emulator.TraceSource, insts int64, clock func(i int64) int64) {
+// window. The replay polls ctx every warmCancelCheckInsts instructions and
+// returns an error wrapping its cause once it is cancelled.
+func (c *Core) WarmFunctional(ctx context.Context, src emulator.TraceSource, insts int64, clock func(i int64) int64) error {
 	if clock == nil {
 		const warmCPI = 2 // nominal cycles per instruction
 		clock = func(i int64) int64 { return -warmCPI * (insts - 1 - i) }
 	}
+	// Sources that can execute straight into a record (the live emulator)
+	// fill one reused record: the replay copies no DynInst per instruction.
+	into, _ := src.(emulator.IntoSource)
+	var rec emulator.DynInst
+	d := &rec
+	done := ctx.Done()
+	// An instruction in the same line as the previous one is a guaranteed
+	// L1i hit (nothing else touches the instruction hierarchy in between),
+	// and a repeated hit changes nothing a window can observe: the line
+	// keeps its LRU rank, and only the uncounted hit tally would move. So
+	// the replay looks up each run of same-line instructions once.
+	lastLine := int64(-1)
 	for i := int64(0); ; i++ {
-		d, ok := src.Next()
-		if !ok {
-			return
+		if done != nil && i%warmCancelCheckInsts == 0 {
+			select {
+			case <-done:
+				return fmt.Errorf("pipeline: functional warming cancelled after %d instructions: %w",
+					i, context.Cause(ctx))
+			default:
+			}
 		}
-		warmCycle := clock(i)
-		c.icache.Access(int64(d.PC)*4, warmCycle)
-		if d.Inst.Op.IsMem() {
+		if into != nil {
+			if !into.NextInto(d) {
+				return nil
+			}
+		} else {
+			var ok bool
+			if rec, ok = src.Next(); !ok {
+				return nil
+			}
+		}
+		// The pseudo-cycle only matters to cache accesses, so it is computed
+		// only for instructions that make one.
+		pcAddr := int64(d.PC) * 4
+		newLine := pcAddr/cache.LineSize != lastLine
+		isMem := d.Inst.Op.IsMem()
+		var warmCycle int64
+		if newLine || isMem {
+			warmCycle = clock(i)
+		}
+		if newLine {
+			c.icache.Access(pcAddr, warmCycle)
+			lastLine = pcAddr / cache.LineSize
+		}
+		if isMem {
 			c.dcache.Access(d.Addr, warmCycle)
 			// The prefetcher's table is long-lived state too: a detailed
 			// window entered with an untrained prefetcher pays demand misses

@@ -59,10 +59,21 @@ type depBITEntry struct {
 // BIT[id mod bitSize], so an undersized table aliases entries just like the
 // real structure would.
 func newDepTracker(bitSize int) *depTracker {
+	return (*depTracker)(nil).reset(bitSize)
+}
+
+// reset returns a tracker in newDepTracker's state, reusing t's BIT when it
+// already has the size; a nil t allocates.
+func (t *depTracker) reset(bitSize int) *depTracker {
 	if bitSize < 1 {
 		bitSize = 8
 	}
-	return &depTracker{bit: make([]depBITEntry, bitSize), dctDepSeq: DepNone}
+	if t == nil || len(t.bit) != bitSize {
+		return &depTracker{bit: make([]depBITEntry, bitSize), dctDepSeq: DepNone}
+	}
+	clear(t.bit)
+	*t = depTracker{bit: t.bit, dctDepSeq: DepNone}
+	return t
 }
 
 // next decodes one dynamic instruction and returns its DepInfo.

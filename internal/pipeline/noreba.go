@@ -48,6 +48,24 @@ func newNorebaPolicy(cfg SelectiveROBConfig) *norebaPolicy {
 	}
 }
 
+// reset empties every structure for a new run, keeping storage.
+func (p *norebaPolicy) reset() {
+	queues := p.queues
+	for i := range queues {
+		queues[i] = queues[i].cleared()
+	}
+	clear(p.brcqLive)
+	*p = norebaPolicy{
+		cfg:      p.cfg,
+		robPrime: p.robPrime.cleared(),
+		queues:   queues,
+		brcqLive: p.brcqLive,
+		cqt:      p.cqt[:0],
+		cit:      p.cit[:0],
+		citMin:   intMax,
+	}
+}
+
 func (p *norebaPolicy) dispatch(_ *Core, e *Entry) { p.robPrime.push(e) }
 
 // resolve keeps the live-CQT count current: a resolved branch no longer

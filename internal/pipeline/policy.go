@@ -45,6 +45,17 @@ func newPolicy(cfg Config) policy {
 	}
 }
 
+// resetPolicy returns a policy for cfg in newPolicy's state, reusing old's
+// storage when it is the Selective ROB with the same sizing (the other
+// policies are stateless).
+func resetPolicy(old policy, cfg Config) policy {
+	if p, ok := old.(*norebaPolicy); ok && cfg.Policy == Noreba && p.cfg == cfg.Selective {
+		p.reset()
+		return p
+	}
+	return newPolicy(cfg)
+}
+
 // commitStep retires e from a candidate-queue walk and reports whether the
 // walk must also skip the candidate that directly follows e in the ROB.
 // The scans this code replaces ranged over the ROB slice while commitEntry

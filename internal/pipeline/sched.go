@@ -34,12 +34,15 @@ func (r entryRef) live() bool { return r.e.gen == r.gen }
 // capacity across lives.
 type entryPool struct {
 	free []*Entry
+	all  []*Entry // every entry the pool ever allocated, for reclaim
 }
 
 func (p *entryPool) get() *Entry {
 	n := len(p.free)
 	if n == 0 {
-		return &Entry{}
+		e := &Entry{}
+		p.all = append(p.all, e)
+		return e
 	}
 	e := p.free[n-1]
 	p.free[n-1] = nil
@@ -53,6 +56,16 @@ func (p *entryPool) put(e *Entry) {
 	e.gen++
 	e.reset()
 	p.free = append(p.free, e)
+}
+
+// reclaim returns every entry the pool ever handed out, wherever it still
+// sits, to the free list: the core that owns the pool is being reset, so no
+// container of it survives to hold one.
+func (p *entryPool) reclaim() {
+	p.free = p.free[:0]
+	for _, e := range p.all {
+		p.put(e)
+	}
 }
 
 // ---- completion wheel ----
@@ -70,11 +83,31 @@ type complWheel struct {
 }
 
 func newComplWheel(horizon int64) complWheel {
+	size := wheelSize(horizon)
+	return complWheel{buckets: make([][]entryRef, size), mask: size - 1}
+}
+
+func wheelSize(horizon int64) int64 {
 	size := int64(64)
 	for size < horizon {
 		size <<= 1
 	}
-	return complWheel{buckets: make([][]entryRef, size), mask: size - 1}
+	return size
+}
+
+// reset empties the wheel for a new run, keeping the bucket storage when it
+// covers horizon. A larger wheel than newComplWheel(horizon) builds fires
+// the same events in the same order — every bucket still holds a single
+// cycle's events, in scheduling order, exactly as after a grow — so a wheel
+// that grew in an earlier run is kept.
+func (w *complWheel) reset(horizon int64) {
+	if int64(len(w.buckets)) < wheelSize(horizon) {
+		*w = newComplWheel(horizon)
+		return
+	}
+	for i := range w.buckets {
+		w.buckets[i] = w.buckets[i][:0]
+	}
 }
 
 // schedule records that e completes at cycle at (= e.doneAt), seen from now.
@@ -209,6 +242,9 @@ type refDeque struct {
 	head, n int
 }
 
+// cleared returns the deque emptied, keeping its storage.
+func (d refDeque) cleared() refDeque { return refDeque{buf: d.buf} }
+
 func (d *refDeque) push(e *Entry) {
 	if d.head+d.n == len(d.buf) {
 		if d.head > d.n {
@@ -271,6 +307,9 @@ type entryDeque struct {
 	buf     []*Entry
 	head, n int
 }
+
+// cleared returns the deque emptied, keeping its storage.
+func (d entryDeque) cleared() entryDeque { return entryDeque{buf: d.buf} }
 
 func (d *entryDeque) push(e *Entry) {
 	if d.head+d.n == len(d.buf) {

@@ -1,11 +1,17 @@
 package pipeline
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"github.com/noreba-sim/noreba/internal/compiler"
 	"github.com/noreba-sim/noreba/internal/emulator"
+	"github.com/noreba-sim/noreba/internal/program"
 )
 
 // The microbenchmarks share one long MLP-kernel trace: enough iterations
@@ -83,4 +89,147 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 			t.Errorf("%v: steady-state Step allocates %.3f objects per call, want 0", pk, n)
 		}
 	}
+}
+
+// TestResetMatchesFreshCore is Reset's contract: a core recycled across
+// policies, programs and cache geometries — its entry pool, window chunks,
+// wheel, queues, cache overlays and predictor tables all reused — starts
+// each run in exactly the state of a zero Core reset over the same warm
+// state, runs to the same statistics, and once warmed up steps without
+// allocating.
+func TestResetMatchesFreshCore(t *testing.T) {
+	tr, meta := benchTrace(t)
+	calls, callsMeta := buildTrace(t, program.MustAssemble("calls", `
+entry:
+	li a0, 300
+loop:
+	jal ra, fn
+after:
+	addi a0, a0, -1
+	bnez a0, loop
+done:
+	halt
+fn:
+	addi a2, a2, 1
+	mv s1, ra
+	jal ra, leaf
+back:
+	mv ra, s1
+	ret
+leaf:
+	addi a3, a3, 1
+	ret
+`), true)
+	warmN := int64(len(tr.Insts) / 2)
+	capture := func(cfg Config) *WarmState {
+		c := NewCore(cfg, tr, meta)
+		if err := c.WarmFunctional(context.Background(), prefix(tr, warmN).Source(), warmN, nil); err != nil {
+			t.Fatal(err)
+		}
+		return c.CaptureWarmState()
+	}
+	// Two geometries: the test core, and a larger L2 with the prefetcher on
+	// (so the DCPT table comes and goes across resets).
+	geometry := func(pk PolicyKind, big bool) Config {
+		cfg := testConfig(pk)
+		if big {
+			cfg.L2Size *= 2
+			cfg.PrefetchEnabled = true
+		}
+		return cfg
+	}
+	states := map[bool]*WarmState{
+		false: capture(geometry(InOrder, false)),
+		true:  capture(geometry(InOrder, true)),
+	}
+	// Windows alternate between the annotated MLP kernel and a call-heavy
+	// program cut off mid-call, so the recycled core's BIT, RAS and queues
+	// end each run in a state a reset must not carry over.
+	windows := []struct {
+		tr   *emulator.Trace
+		meta *compiler.Meta
+	}{{prefix(tr, 20000), meta}, {prefix(calls, int64(len(calls.Insts)/2+1)), callsMeta}}
+
+	recycled := new(Core)
+	run := 0
+	for _, big := range []bool{false, true, false} {
+		for _, pk := range allPolicies {
+			w := windows[run%len(windows)]
+			run++
+			cfg := geometry(pk, big)
+			fresh := new(Core)
+			fresh.Reset(cfg, w.tr.Source(), w.meta, states[big])
+			recycled.Reset(cfg, w.tr.Source(), w.meta, states[big])
+			if diff := resetStateDiff(fresh, recycled); diff != "" {
+				t.Errorf("big geometry %v, %v: recycled core starts with different %s", big, pk, diff)
+			}
+			want, err := fresh.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := recycled.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wj, _ := json.Marshal(want)
+			gj, _ := json.Marshal(got)
+			if !bytes.Equal(wj, gj) {
+				t.Errorf("big geometry %v, %v: recycled core differs from fresh:\nfresh:    %s\nrecycled: %s", big, pk, wj, gj)
+			}
+			recycled.Release()
+		}
+	}
+
+	// Steady state on a recycled core: Reset itself and every Step reuse
+	// storage.
+	recycled.Reset(geometry(Noreba, false), tr.Source(), meta, states[false])
+	for i := 0; i < 10000 && !recycled.Done(); i++ {
+		recycled.Step()
+	}
+	if n := testing.AllocsPerRun(200, func() { recycled.Step() }); n != 0 {
+		t.Errorf("recycled core's steady-state Step allocates %.3f objects per call, want 0", n)
+	}
+}
+
+// resetStateDiff names the first piece of long-lived state in which two
+// freshly reset cores differ, or returns "". Storage capacity may differ;
+// contents may not.
+func resetStateDiff(a, b *Core) string {
+	switch {
+	case !reflect.DeepEqual(a.dcache.Clone(), b.dcache.Clone()):
+		return "data caches"
+	case !reflect.DeepEqual(a.icache.Clone(), b.icache.Clone()):
+		return "instruction caches"
+	case !reflect.DeepEqual(a.pred, b.pred):
+		return "branch predictor"
+	case fmt.Sprint(*a.ras) != fmt.Sprint(*b.ras): // nil and empty stacks alike
+		return "return-address stack"
+	case !reflect.DeepEqual(a.dcpt, b.dcpt):
+		return "prefetcher table"
+	case !reflect.DeepEqual(a.win.deps, b.win.deps):
+		return "branch dependence tracker"
+	case a.win.base != b.win.base || a.win.end != b.win.end || a.win.cn != b.win.cn:
+		return "window span"
+	case len(a.pool.free) != len(a.pool.all) || len(b.pool.free) != len(b.pool.all):
+		return "entry pool (entries not reclaimed)"
+	}
+	if pa, ok := a.policy.(*norebaPolicy); ok {
+		pb := b.policy.(*norebaPolicy)
+		if pa.robPrime.len() != pb.robPrime.len() || pa.cqtLive != pb.cqtLive || len(pa.cqt) != len(pb.cqt) ||
+			len(pa.cit) != len(pb.cit) || pa.citMin != pb.citMin || pa.rr != pb.rr ||
+			!reflect.DeepEqual(pa.brcqLive, pb.brcqLive) {
+			return "Selective ROB state"
+		}
+		for q := range pa.queues {
+			if pa.queues[q].len() != pb.queues[q].len() {
+				return "commit queues"
+			}
+		}
+	}
+	return ""
+}
+
+// prefix returns the first n instructions of tr as a trace of their own.
+func prefix(tr *emulator.Trace, n int64) *emulator.Trace {
+	return &emulator.Trace{Name: tr.Name, Insts: tr.Insts[:n]}
 }

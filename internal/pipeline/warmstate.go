@@ -12,7 +12,7 @@ import (
 // across detailed windows. Warming is policy-independent (it never touches
 // the pipeline model), so one capture serves every commit policy sharing the
 // same cache/predictor geometry, and each window installs an independent
-// clone so detailed simulation never mutates the shared capture.
+// copy (Core.Reset) so detailed simulation never mutates the shared capture.
 type WarmState struct {
 	dcache *cache.Hierarchy
 	icache *cache.Hierarchy
@@ -41,29 +41,6 @@ func (c *Core) CaptureWarmState() *WarmState {
 		ws.dcpt = c.dcpt.Clone()
 	}
 	return ws
-}
-
-// InstallWarmState replaces the core's microarchitectural state with an
-// independent clone of ws, exactly as if the core itself had run the warming
-// that produced the capture. Must be called before the first Step; the
-// capture must come from a core built with the same Config geometry (cache
-// sizes/latencies, predictor kind, RAS depth, prefetcher setup). The cache
-// hierarchies are installed as copy-on-write clones — a detailed window
-// touches a tiny fraction of the warmed lower levels, so sharing the frozen
-// capture and materializing touched sets lazily replaces the dominant
-// per-window copy. The capture must not be mutated while installed cores are
-// live (it never is: captures are shifted once at capture time, then only
-// read).
-func (c *Core) InstallWarmState(ws *WarmState) {
-	c.dcache = ws.dcache.CloneCOW()
-	c.icache = ws.icache.CloneCOW()
-	c.pred = branchpred.Clone(ws.pred)
-	c.ras = ws.ras.Clone()
-	if ws.dcpt != nil {
-		c.dcpt = ws.dcpt.Clone()
-	} else {
-		c.dcpt = nil
-	}
 }
 
 // ShiftClock rebases the capture's cache fill timestamps by delta cycles

@@ -74,12 +74,26 @@ type window struct {
 	peak int // high-water mark of live records
 }
 
-func newWindow(src emulator.TraceSource, bitSize int) *window {
-	w := &window{src: src, deps: newDepTracker(bitSize)}
+// reset returns an empty window over src, reusing w's chunks and BIT
+// storage; a nil w allocates. Every chunk returns to the free
+// list: fill initialises each record it loads in full, so a recycled chunk
+// is indistinguishable from a new one.
+func (w *window) reset(src emulator.TraceSource, bitSize int) *window {
+	if w == nil {
+		w = &window{}
+	}
+	for i := 0; i < w.cn; i++ {
+		w.free = append(w.free, w.chunks[w.chead+i])
+		w.chunks[w.chead+i] = nil
+	}
+	*w = window{src: src, deps: w.deps.reset(bitSize), chunks: w.chunks, free: w.free}
 	w.refSrc, _ = src.(emulator.RefSource)
 	w.intoSrc, _ = src.(emulator.IntoSource)
 	return w
 }
+
+// detach drops the window's source so a parked window pins no stream.
+func (w *window) detach() { w.src, w.refSrc, w.intoSrc = nil, nil, nil }
 
 // ensure pulls from the source until trace index idx is loaded, returning
 // false if the stream ends first. idx below the window base is a modelling

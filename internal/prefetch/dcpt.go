@@ -17,6 +17,10 @@ type entry struct {
 	deltas       [numDeltas]int64
 	head         int
 	valid        bool
+	// cands backs the candidate slice Train returns for this row, so
+	// prediction allocates nothing. A match leaves at most numDeltas-2
+	// deltas to replay.
+	cands [numDeltas]int64
 }
 
 // DCPT is the delta-correlating prediction table.
@@ -48,13 +52,22 @@ func (d *DCPT) slot(pc int) *entry { return &d.entries[pc%len(d.entries)] }
 // included. The delta histories are value arrays, so copying the entry slice
 // copies everything.
 func (d *DCPT) Clone() *DCPT {
-	cp := *d
-	cp.entries = append([]entry(nil), d.entries...)
-	return &cp
+	cp := &DCPT{}
+	cp.CopyFrom(d)
+	return cp
+}
+
+// CopyFrom makes d an independent copy of src, training statistics
+// included, reusing d's table storage.
+func (d *DCPT) CopyFrom(src *DCPT) {
+	entries := d.entries
+	*d = *src
+	d.entries = append(entries[:0], src.entries...)
 }
 
 // Train records a load at pc touching addr and returns the prefetch
-// candidate addresses predicted by delta correlation.
+// candidate addresses predicted by delta correlation. The slice is valid
+// until the next Train of a PC sharing pc's table row.
 func (d *DCPT) Train(pc int, addr int64) []int64 {
 	d.Trained++
 	e := d.slot(pc)
@@ -102,7 +115,7 @@ func (d *DCPT) correlate(e *entry, addr int64) []int64 {
 		return nil
 	}
 	// Replay the deltas that followed the match (positions match-1 … 0).
-	var out []int64
+	out := e.cands[:0]
 	a := addr
 	for j := match - 1; j >= 0 && len(out) < d.degree; j-- {
 		dd := get(j)

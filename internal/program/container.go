@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/noreba-sim/noreba/internal/isa"
 )
@@ -68,11 +68,7 @@ func (img *Image) MarshalBinary() ([]byte, error) {
 		writeI64(a)
 		writeI64(img.Data[a])
 	}
-	fAddrs := make([]int64, 0, len(img.FData))
-	for a := range img.FData {
-		fAddrs = append(fAddrs, a)
-	}
-	sort.Slice(fAddrs, func(i, j int) bool { return fAddrs[i] < fAddrs[j] })
+	fAddrs := sortedKeys(img.FData)
 	writeU32(uint32(len(fAddrs)))
 	for _, a := range fAddrs {
 		writeI64(a)
@@ -184,11 +180,11 @@ func (r *reader) str() string {
 	return string(r.bytes(l))
 }
 
-func sortedKeys(m map[int64]int64) []int64 {
+func sortedKeys[V any](m map[int64]V) []int64 {
 	out := make([]int64, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -2,7 +2,9 @@ package sampling
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,7 +62,9 @@ type Rep struct {
 	// cluster-mean-to-representative ratio.
 	PilotRep     []float64
 	PilotCluster []float64
-	// Snap is the architectural state at WarmStart − FuncWarmInsts.
+	// Snap is the architectural state at WarmStart − FuncWarmInsts. On a
+	// plan loaded from v2 bytes it and WarmSnap stay in delta form (see
+	// snapDelta); repSnap and windowSnap return them whole.
 	Snap emulator.Snapshot
 	// WarmSnap is the architectural state at WarmStart itself — the
 	// detailed window's entry point. Estimates restore it directly and
@@ -71,23 +75,21 @@ type Rep struct {
 	// for tools that need the warm span's input stream.
 	WarmSnap emulator.Snapshot
 
-	// delta, when non-nil, marks Snap and WarmSnap as still holding only
-	// the v2 plan file's delta sections (memory entries that differ from
-	// the image) plus these tombstones; LoadPlan materializes the full maps
-	// against the bound image and clears the marker. See planfile.go.
-	delta *repDeltaState
+	// snapDelta and warmDelta, when non-nil, mark Snap and WarmSnap as still
+	// holding only the v2 plan file's delta sections (memory entries that
+	// differ from the image) plus the marker's tombstones. A bound plan
+	// materializes them on demand (repSnap, windowSnap). See planfile.go.
+	snapDelta, warmDelta *memDelta
 }
 
-// repDeltaState carries the v2 delta sections' tombstones — image addresses
-// absent from the checkpoint — between decode and bind time. Plans built by
-// BuildPlan never need it (a machine's memory is a superset of the image's
+// memDelta carries a v2 delta section's tombstones — image addresses absent
+// from the checkpoint — until the checkpoint is materialized. Plans built by
+// BuildPlan never need them (a machine's memory is a superset of the image's
 // initial data), but the format keeps deletion representable so a delta
 // section is exactly invertible whatever the snapshot's shape.
-type repDeltaState struct {
-	snapTombs  []int64
-	snapFTombs []int64
-	warmTombs  []int64
-	warmFTombs []int64
+type memDelta struct {
+	tombs  []int64
+	ftombs []int64
 }
 
 // Plan is a compiled sampling schedule for one program image: the profile,
@@ -112,9 +114,12 @@ type Plan struct {
 	// sampling provenance so the caller can see no reduction happened).
 	Full bool
 
-	img      *program.Image
-	imgHash  [32]byte // sha256 of the image's canonical encoding (ImageHash)
-	maxInsts int64
+	img     *program.Image
+	imgHash [32]byte // img.ContentHash(), computed once per built plan
+	// windowSnaps holds a loaded plan's WarmSnaps, materialized on first
+	// use (see windowSnap).
+	windowSnaps []lazySnap
+	maxInsts    int64
 	// warmRate is the pilot run's cycles per delivered instruction for each
 	// interval, and warmCum its prefix sum at interval starts (warmCum[j] is
 	// the pilot cycle count at Intervals[j].Start; warmCum[n] at stream end).
@@ -159,42 +164,93 @@ func warmKeyOf(cfg pipeline.Config) warmKey {
 }
 
 // warmEntry is one geometry's warmed state, one capture per representative.
+// The replay publishes each capture as soon as it is taken, so a
+// representative's window can start while the replay is still warming the
+// ones after it.
 type warmEntry struct {
-	once   sync.Once
 	states []*pipeline.WarmState
-	err    error
+	ready  []chan struct{} // ready[i] is closed once states[i] is set
+	done   chan struct{}   // closed once the replay has ended
+	err    error           // the replay's failure, if any; read after done
 }
 
-// warmCycleAt returns the pilot run's cumulative cycle count at stream
-// position pos, interpolated within intervals at the interval's rate.
-func (pl *Plan) warmCycleAt(pos int64) float64 {
-	ivs := pl.Profile.Intervals
-	lo, hi := 0, len(ivs)
-	for lo < hi { // first interval with Start+Insts > pos
-		mid := (lo + hi) / 2
-		if ivs[mid].Start+ivs[mid].Insts <= pos {
-			lo = mid + 1
-		} else {
-			hi = mid
+// wait returns representative i's warm state once the replay has published
+// it, the replay's error if it ended without doing so, or ctx's cause.
+func (e *warmEntry) wait(ctx context.Context, i int) (*pipeline.WarmState, error) {
+	select {
+	case <-e.ready[i]:
+		return e.states[i], nil
+	case <-e.done:
+		select {
+		case <-e.ready[i]:
+			return e.states[i], nil
+		default:
 		}
+		if e.err == nil {
+			return nil, fmt.Errorf("warm replay published no state for representative %d", i)
+		}
+		return nil, e.err
+	case <-ctx.Done():
+		return nil, fmt.Errorf("waiting for warm state: %w", context.Cause(ctx))
 	}
-	if lo >= len(ivs) {
-		return pl.warmCum[len(ivs)]
+}
+
+// warmCursor evaluates the pilot run's cumulative cycle count at stream
+// positions, interpolated within intervals at the interval's rate. It keeps
+// the interval the last position fell in, so the warm replay's
+// non-decreasing positions cost one range check each and a forward step at
+// interval boundaries, instead of a search of the profile per instruction;
+// a position behind the cached interval restarts the walk.
+type warmCursor struct {
+	pl    *Plan
+	j     int     // first interval ending after the last position sought
+	lo, n int64   // the position range [lo, lo+n) the cached terms serve
+	cum   float64 // pilot cycles at lo
+	rate  float64 // pilot cycles per instruction from lo
+}
+
+func (c *warmCursor) at(pos int64) float64 {
+	if d := pos - c.lo; uint64(d) < uint64(c.n) { // pos in [lo, lo+n)
+		return c.cum + c.rate*float64(d)
 	}
-	return pl.warmCum[lo] + pl.warmRate[lo]*float64(pos-ivs[lo].Start)
+	return c.seek(pos)
+}
+
+// seek caches the interval holding pos — the first interval ending after it
+// — and evaluates the clock there. Past the last interval the clock stands
+// still at the run's total.
+func (c *warmCursor) seek(pos int64) float64 {
+	ivs := c.pl.Profile.Intervals
+	if pos < c.lo {
+		c.j = 0
+	}
+	for c.j < len(ivs) && ivs[c.j].Start+ivs[c.j].Insts <= pos {
+		c.j++
+	}
+	if c.j >= len(ivs) {
+		c.lo, c.n = pos, math.MaxInt64
+		c.cum, c.rate = c.pl.warmCum[len(ivs)], 0
+		return c.cum
+	}
+	iv := &ivs[c.j]
+	c.lo, c.n = iv.Start, iv.Insts
+	c.cum, c.rate = c.pl.warmCum[c.j], c.pl.warmRate[c.j]
+	return c.cum + c.rate*float64(pos-c.lo)
 }
 
 // warmClock builds the functional-warming pseudo-clock for a warm span of n
 // instructions starting at stream position snapAt: the pilot's cycle
 // schedule shifted to end at cycle 0. Returns nil (the caller's nominal
-// default) when the plan has no pilot timing.
+// default) when the plan has no pilot timing. The clock is O(1) per call
+// when evaluated at non-decreasing i.
 func (pl *Plan) warmClock(snapAt, n int64) func(int64) int64 {
 	if len(pl.warmRate) == 0 {
 		return nil
 	}
-	end := pl.warmCycleAt(snapAt + n)
+	end := (&warmCursor{pl: pl}).at(snapAt + n)
+	cur := &warmCursor{pl: pl}
 	return func(i int64) int64 {
-		c := int64(pl.warmCycleAt(snapAt+i+1) - end)
+		c := int64(cur.at(snapAt+i+1) - end)
 		if c > 0 {
 			c = 0
 		}
@@ -236,7 +292,7 @@ func BuildPlanContext(ctx context.Context, img *program.Image, meta *compiler.Me
 	if prof.Err != nil {
 		return nil, fmt.Errorf("sampling: %s: profiling pass failed: %w", prof.Name, prof.Err)
 	}
-	pl := &Plan{Name: prof.Name, Params: p, Profile: prof, img: img, maxInsts: maxInsts}
+	pl := &Plan{Name: prof.Name, Params: p, Profile: prof, img: img, imgHash: img.ContentHash(), maxInsts: maxInsts}
 	if len(prof.Intervals) == 0 {
 		pl.Full = true
 		return pl, nil
@@ -618,29 +674,58 @@ func (pl *Plan) Estimate(cfg pipeline.Config, meta *compiler.Meta) (*pipeline.St
 	return pl.EstimateContext(context.Background(), cfg, meta)
 }
 
-// warmStates returns (building on first use) the warmed microarchitectural
-// state for cfg's geometry: one capture per representative, each rebased so
-// its cache fill timestamps end at pseudo-cycle 0 where the detailed window
-// opens. Safe for concurrent estimates: a per-key once means at most one
-// warming replay per geometry, with everyone else waiting on its result.
-func (pl *Plan) warmStates(cfg pipeline.Config, meta *compiler.Meta) ([]*pipeline.WarmState, error) {
-	key := warmKeyOf(cfg)
+// warmEntryFor returns the warm entry for cfg's geometry. run reports that
+// the caller created it and must run its replay (runWarm); everyone else
+// waits on the entry, so concurrent estimates warm each geometry at most
+// once.
+func (pl *Plan) warmEntryFor(cfg pipeline.Config) (e *warmEntry, key warmKey, run bool) {
+	key = warmKeyOf(cfg)
 	pl.warmMu.Lock()
+	defer pl.warmMu.Unlock()
 	if pl.warm == nil {
 		pl.warm = map[warmKey]*warmEntry{}
 	}
-	e := pl.warm[key]
-	if e == nil {
-		e = &warmEntry{}
-		pl.warm[key] = e
+	if e = pl.warm[key]; e != nil {
+		return e, key, false
 	}
-	pl.warmMu.Unlock()
-	e.once.Do(func() { e.states, e.err = pl.buildWarmStates(cfg, meta) })
-	return e.states, e.err
+	e = &warmEntry{
+		states: make([]*pipeline.WarmState, len(pl.Reps)),
+		ready:  make([]chan struct{}, len(pl.Reps)),
+		done:   make(chan struct{}),
+	}
+	for i := range e.ready {
+		e.ready[i] = make(chan struct{})
+	}
+	pl.warm[key] = e
+	return e, key, true
+}
+
+// runWarm runs e's replay under ctx, publishing each capture as it is taken.
+// A failed replay leaves its error for e's waiters. A cancelled one is also
+// dropped from the plan, like a cancelled plan build in the experiment
+// runner: the next estimate replays afresh instead of inheriting the
+// cancellation, while deterministic failures stay cached.
+func (pl *Plan) runWarm(ctx context.Context, key warmKey, e *warmEntry, cfg pipeline.Config, meta *compiler.Meta) {
+	err := pl.buildWarmStates(ctx, cfg, meta, func(i int, ws *pipeline.WarmState) {
+		e.states[i] = ws
+		close(e.ready[i])
+	})
+	if err != nil {
+		e.err = err
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			pl.warmMu.Lock()
+			if pl.warm[key] == e {
+				delete(pl.warm, key)
+			}
+			pl.warmMu.Unlock()
+		}
+	}
+	close(e.done)
 }
 
 // buildWarmStates replays each representative's functional-warming span
-// through a core with cfg's geometry and captures the resulting state.
+// through a core with cfg's geometry and hands each captured state to
+// publish, in representative order, as soon as it is taken.
 //
 // Fast path: under default parameters FunctionalWarmInsts covers the whole
 // prefix, so every warm span starts at stream position 0 and the spans are
@@ -654,8 +739,7 @@ func (pl *Plan) warmStates(cfg pipeline.Config, meta *compiler.Meta) ([]*pipelin
 // from its Snap on the per-rep relative clock, exactly as estimates used to
 // warm inline — still amortised across every configuration sharing the
 // geometry.
-func (pl *Plan) buildWarmStates(cfg pipeline.Config, meta *compiler.Meta) ([]*pipeline.WarmState, error) {
-	states := make([]*pipeline.WarmState, len(pl.Reps))
+func (pl *Plan) buildWarmStates(ctx context.Context, cfg pipeline.Config, meta *compiler.Meta, publish func(int, *pipeline.WarmState)) error {
 	nested := true
 	for i := range pl.Reps {
 		if pl.Reps[i].WarmStart != pl.Reps[i].FuncWarmInsts {
@@ -664,19 +748,20 @@ func (pl *Plan) buildWarmStates(cfg pipeline.Config, meta *compiler.Meta) ([]*pi
 		}
 	}
 	if nested && len(pl.Reps) > 0 {
-		// Absolute pilot clock and its value at each capture boundary; the
-		// nominal 2-cycles-per-instruction fallback mirrors WarmFunctional's
-		// nil-clock default (−2·(n−1−i) relative ≡ 2·(i+1) absolute shifted
-		// by −2·n).
-		clock := func(i int64) int64 { return int64(pl.warmCycleAt(i + 1)) }
-		endAt := func(pos int64) int64 { return int64(pl.warmCycleAt(pos)) }
-		if len(pl.warmRate) == 0 {
-			clock = func(i int64) int64 { return 2 * (i + 1) }
-			endAt = func(pos int64) int64 { return 2 * pos }
+		// Absolute pilot clock: the cycle at stream position pos, i.e. after
+		// pos instructions. Without pilot timing, the nominal 2 cycles per
+		// instruction mirror WarmFunctional's nil-clock default (−2·(n−1−i)
+		// relative ≡ 2·(i+1) absolute shifted by −2·n).
+		cur := &warmCursor{pl: pl}
+		pilot := len(pl.warmRate) > 0
+		cycleAt := func(pos int64) int64 {
+			if pilot {
+				return int64(cur.at(pos))
+			}
+			return 2 * pos
 		}
-		// Warm in bounded segments on one persistent machine, capturing at
-		// each boundary between segments: same replay, but the hot loop pulls
-		// straight from the machine source with no per-instruction wrapper.
+		// Warm in segments on one persistent machine, capturing at each
+		// boundary between segments.
 		m := emulator.New(pl.img)
 		core := pipeline.NewCoreFromSource(cfg, emulator.NewSource(m, 0), meta)
 		pos := int64(0)
@@ -684,36 +769,39 @@ func (pl *Plan) buildWarmStates(cfg pipeline.Config, meta *compiler.Meta) ([]*pi
 			bound := pl.Reps[next].WarmStart
 			if span := bound - pos; span > 0 {
 				src := emulator.NewSource(m, span)
-				base := pos
-				core.WarmFunctional(src, span, func(i int64) int64 { return clock(base + i) })
+				start := pos
+				clock := func(i int64) int64 { return cycleAt(start + i + 1) }
+				if err := core.WarmFunctional(ctx, src, span, clock); err != nil {
+					return err
+				}
 				pos += src.Counts().Insts
 				if pos != bound {
-					return nil, fmt.Errorf("sampling: %s: warm replay ended at %d before rep %d boundary %d",
-						pl.Name, pos, next, bound)
+					return fmt.Errorf("warm replay ended at %d before rep %d boundary %d", pos, next, bound)
 				}
 			}
 			for next < len(pl.Reps) && pl.Reps[next].WarmStart == bound {
 				ws := core.CaptureWarmState()
-				ws.ShiftClock(-endAt(bound))
-				states[next] = ws
+				ws.ShiftClock(-cycleAt(bound))
+				publish(next, ws)
 				next++
 			}
 		}
-		return states, nil
+		return nil
 	}
 
 	for i := range pl.Reps {
 		rep := &pl.Reps[i]
-		m := emulator.NewRestored(pl.img, rep.Snap)
+		m := emulator.NewRestored(pl.img, pl.repSnap(i))
 		src := emulator.NewSource(m, rep.FuncWarmInsts)
 		core := pipeline.NewCoreFromSource(cfg, src, meta)
-		if rep.FuncWarmInsts > 0 {
-			snapAt := rep.WarmStart - rep.FuncWarmInsts
-			core.WarmFunctional(src, rep.FuncWarmInsts, pl.warmClock(snapAt, rep.FuncWarmInsts))
+		if n := rep.FuncWarmInsts; n > 0 {
+			if err := core.WarmFunctional(ctx, src, n, pl.warmClock(rep.WarmStart-n, n)); err != nil {
+				return err
+			}
 		}
-		states[i] = core.CaptureWarmState()
+		publish(i, core.CaptureWarmState())
 	}
-	return states, nil
+	return nil
 }
 
 // EstimateContext is EstimateContextN with a serial (single-worker) window
@@ -729,12 +817,16 @@ func (pl *Plan) EstimateContext(ctx context.Context, cfg pipeline.Config, meta *
 // SampledDetailInsts) and exact values for the fields the profile knows
 // outright (Committed, TraceInsts).
 //
-// workers bounds how many representative windows run concurrently (≤ 1
-// means serial). Each window restores its own emulator.Machine from the
-// representative's WarmSnap and installs an independent clone of the shared
-// warmed state, so windows share nothing mutable; results land in a slice
-// indexed by representative, and the extrapolation consumes them in
-// interval order — the estimate is byte-identical for every worker count.
+// workers bounds how many goroutines run windows concurrently (≤ 1 means
+// serial). The first estimate of a cache/predictor geometry also runs its
+// warm replay: serially before the windows, or on the first worker, which
+// joins the windows once the replay is done while the others start each
+// window as soon as its representative's warm state is published. Each
+// window restores its own emulator.Machine from the representative's
+// WarmSnap and resets a private core over the shared warmed state, so
+// windows share nothing mutable; results land in a slice indexed by
+// representative, and the extrapolation consumes them in interval order —
+// the estimate is byte-identical for every worker count.
 func (pl *Plan) EstimateContextN(ctx context.Context, cfg pipeline.Config, meta *compiler.Meta, workers int) (*pipeline.Stats, error) {
 	if pl.Full {
 		src := emulator.NewSource(emulator.New(pl.img), pl.maxInsts)
@@ -748,18 +840,18 @@ func (pl *Plan) EstimateContextN(ctx context.Context, cfg pipeline.Config, meta 
 		return st, nil
 	}
 
-	states, err := pl.warmStates(cfg, meta)
-	if err != nil {
-		return nil, err
-	}
+	e, key, replay := pl.warmEntryFor(cfg)
 	ms := make([]measured, len(pl.Reps))
 	details := make([]int64, len(pl.Reps))
 	if workers > len(pl.Reps) {
 		workers = len(pl.Reps)
 	}
 	if workers <= 1 {
+		if replay {
+			pl.runWarm(ctx, key, e, cfg, meta)
+		}
 		for i := range pl.Reps {
-			if err := pl.measureRep(ctx, cfg, meta, i, states[i], &ms[i], &details[i]); err != nil {
+			if err := pl.measureRep(ctx, cfg, meta, i, e, &ms[i], &details[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -772,20 +864,23 @@ func (pl *Plan) EstimateContextN(ctx context.Context, cfg pipeline.Config, meta 
 		errs := make([]error, len(pl.Reps))
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func() {
+			go func(w int) {
 				defer wg.Done()
+				if w == 0 && replay {
+					pl.runWarm(ctx, key, e, cfg, meta)
+				}
 				for !stop.Load() {
 					i := int(next.Add(1) - 1)
 					if i >= len(pl.Reps) {
 						return
 					}
-					if err := pl.measureRep(ctx, cfg, meta, i, states[i], &ms[i], &details[i]); err != nil {
+					if err := pl.measureRep(ctx, cfg, meta, i, e, &ms[i], &details[i]); err != nil {
 						errs[i] = err
 						stop.Store(true)
 						return
 					}
 				}
-			}()
+			}(w)
 		}
 		wg.Wait()
 		for _, err := range errs {
@@ -817,17 +912,66 @@ func (pl *Plan) EstimateContextN(ctx context.Context, cfg pipeline.Config, meta 
 	return &est, nil
 }
 
-// measureRep runs one representative's detailed window: restore the
-// window-entry checkpoint, install a clone of the warmed
-// microarchitectural state, and simulate warmup + measurement.
-func (pl *Plan) measureRep(ctx context.Context, cfg pipeline.Config, meta *compiler.Meta, i int, ws *pipeline.WarmState, out *measured, detail *int64) error {
+// windowCores parks detailed-window cores between windows, estimates and
+// plans: a parked core keeps its storage (see pipeline.Core.Reset), so a
+// window on a recycled core allocates nothing in the pipeline model. The
+// list is bounded — it only ever holds as many cores as windows once ran
+// at the same time, at most maxParkedCores — and, unlike a sync.Pool, is
+// not emptied by garbage collection, so a fresh runner's first estimate
+// also runs on warmed-up storage.
+var windowCores struct {
+	sync.Mutex
+	free []*pipeline.Core
+}
+
+const maxParkedCores = 16
+
+// recycleCores enables windowCores; tests turn it off to compare recycled
+// estimates against fresh-core ones.
+var recycleCores = true
+
+func getWindowCore() *pipeline.Core {
+	if recycleCores {
+		windowCores.Lock()
+		defer windowCores.Unlock()
+		if n := len(windowCores.free); n > 0 {
+			c := windowCores.free[n-1]
+			windowCores.free = windowCores.free[:n-1]
+			return c
+		}
+	}
+	return new(pipeline.Core)
+}
+
+func putWindowCore(c *pipeline.Core) {
+	c.Release()
+	if recycleCores {
+		windowCores.Lock()
+		defer windowCores.Unlock()
+		if len(windowCores.free) < maxParkedCores {
+			windowCores.free = append(windowCores.free, c)
+		}
+	}
+}
+
+// measureRep runs one representative's detailed window: wait for its warmed
+// microarchitectural state, restore the window-entry checkpoint, reset a
+// core over the warmed state, and simulate warmup + measurement.
+func (pl *Plan) measureRep(ctx context.Context, cfg pipeline.Config, meta *compiler.Meta, i int, e *warmEntry, out *measured, detail *int64) error {
 	rep := &pl.Reps[i]
-	m := emulator.NewRestored(pl.img, rep.WarmSnap)
+	snap := pl.windowSnap(i) // before waiting: overlaps the replay
+	ws, err := e.wait(ctx, i)
+	if err != nil {
+		return fmt.Errorf("sampling: %s interval %d under %v: %w", pl.Name, rep.Interval, cfg.Policy, err)
+	}
+	m := emulator.NewRestored(pl.img, snap)
 	// Seq is rebased before the first pull because sequence numbers double
 	// as window indices in the pipeline's dependence tracking.
 	m.RebaseSeq()
 	src := emulator.NewSource(m, rep.SrcBound)
-	core := pipeline.NewWarmCoreFromSource(cfg, src, meta, ws)
+	core := getWindowCore()
+	defer putWindowCore(core)
+	core.Reset(cfg, src, meta, ws)
 	warm, end, err := runWindow(ctx, core, pl.Name, rep.Interval, cfg.Policy,
 		rep.WarmCommits, rep.WarmCommits+rep.MeasureCommits)
 	if err != nil {

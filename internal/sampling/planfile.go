@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/noreba-sim/noreba/internal/emulator"
 	"github.com/noreba-sim/noreba/internal/program"
@@ -30,7 +31,7 @@ import (
 //	magic "NRPF", version u8
 //	name, params (IntervalLen MaxK WarmupIntervals CooldownInsts
 //	              FunctionalWarmInsts KMeansIters Seed), maxInsts
-//	image hash (32 raw bytes, ImageHash)
+//	image hash (32 raw bytes, program.Image.ContentHash)
 //	full flag u8
 //	profile: TotalInsts TotalSetup, interval count,
 //	         per interval Start Insts Setup Traps + sorted BBV pairs
@@ -105,59 +106,14 @@ func AsFormatError(err error) (*FormatError, bool) {
 	return nil, false
 }
 
-// ImageHash returns the sha256 of a canonical encoding of the program image:
-// the identity under which plans are stored and validated. Two images with
-// the same hash produce the same dynamic stream, so a plan checkpointed
-// against one is valid for the other.
-func ImageHash(img *program.Image) [sha256.Size]byte {
-	h := sha256.New()
-	var scratch [binary.MaxVarintLen64]byte
-	writeVarint := func(v int64) {
-		h.Write(scratch[:binary.PutVarint(scratch[:], v)])
-	}
-	writeString := func(s string) {
-		writeVarint(int64(len(s)))
-		io.WriteString(h, s)
-	}
-	writeString(img.Name)
-	writeVarint(int64(len(img.Insts)))
-	for _, in := range img.Insts {
-		writeVarint(int64(in.Op))
-		writeVarint(int64(in.Rd))
-		writeVarint(int64(in.Rs1))
-		writeVarint(int64(in.Rs2))
-		writeVarint(in.Imm)
-		writeVarint(in.Aux)
-		writeVarint(int64(in.Target))
-	}
-	writeVarint(int64(len(img.Data)))
-	for _, a := range sortedKeys(img.Data) {
-		writeVarint(a)
-		writeVarint(img.Data[a])
-	}
-	writeVarint(int64(len(img.FData)))
-	for _, a := range sortedFKeys(img.FData) {
-		writeVarint(a)
-		writeVarint(int64(math.Float64bits(img.FData[a])))
-	}
-	writeVarint(int64(len(img.ValidRanges)))
-	for _, r := range img.ValidRanges {
-		writeVarint(r[0])
-		writeVarint(r[1])
-	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
-}
-
 // PlanKey returns the content-store key for a plan: sha256 over the format
-// version, the image hash, the stream bound and the normalized parameters.
-// Any change to the format, the program or the sampling configuration yields
-// a different key, so a stored plan can never be served to a request it was
-// not built for.
-func PlanKey(img *program.Image, maxInsts int64, p Params) string {
+// version, the image's content hash (program.Image.ContentHash, carried by
+// compiler.Result.ImageHash), the stream bound and the normalized
+// parameters. Any change to the format, the program or the sampling
+// configuration yields a different key, so a stored plan can never be served
+// to a request it was not built for.
+func PlanKey(imgHash [sha256.Size]byte, maxInsts int64, p Params) string {
 	p = p.Normalize()
-	imgHash := ImageHash(img)
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\n", planKeyTag)
 	h.Write(imgHash[:])
@@ -245,15 +201,20 @@ func (w *planWriter) snapshot(s *emulator.Snapshot) {
 // snapshotDelta writes the v2 checkpoint section: memory as a delta against
 // the image's initial data. Changed or new entries are written as sorted
 // (addr, value) pairs; tombstones — base addresses absent from the snapshot
-// — as a sorted address list. When tombs/ftombs are non-nil they are written
-// as given (the re-encode path for a decoded-but-unbound plan, whose Mem
-// maps already hold just the delta); otherwise they are derived from the
-// base. A nil base degenerates to "every entry changed, no tombstones",
-// which binds correctly for any plan whose checkpoints cover the image's
-// data addresses — true of every plan BuildPlan produces, since a machine's
-// memory starts as the image data and never deletes.
-func (w *planWriter) snapshotDelta(s *emulator.Snapshot, base map[int64]int64, fbase map[int64]float64, tombs, ftombs []int64) {
+// — as a sorted address list. A snapshot still in decoded delta form (d
+// non-nil: its Mem maps hold just the delta) is written back verbatim with
+// d's tombstones; otherwise the tombstones are derived from the base. A nil
+// base degenerates to "every entry changed, no tombstones", which binds
+// correctly for any plan whose checkpoints cover the image's data addresses
+// — true of every plan BuildPlan produces, since a machine's memory starts
+// as the image data and never deletes.
+func (w *planWriter) snapshotDelta(s *emulator.Snapshot, d *memDelta, base map[int64]int64, fbase map[int64]float64) {
 	w.snapshotHead(s)
+	var tombs, ftombs []int64
+	if d != nil {
+		base, fbase = nil, nil
+		tombs, ftombs = d.tombs, d.ftombs
+	}
 
 	changed := make([]int64, 0, len(s.Mem))
 	for a, v := range s.Mem {
@@ -320,8 +281,8 @@ func EncodePlan(pl *Plan) []byte { return encodePlanAt(pl, PlanFileVersion) }
 
 // encodePlanAt serialises at a specific format version. Production encoding
 // is always PlanFileVersion; the backward-compatibility tests use it to
-// produce genuine v1 bytes (valid only for plans holding full snapshot maps
-// — built or v1-decoded, not v2-decoded-unbound).
+// produce genuine v1 bytes (valid only for built or bound plans, not
+// v2-decoded-unbound ones, whose checkpoints cannot be materialized).
 func encodePlanAt(pl *Plan, version byte) []byte {
 	w := &planWriter{}
 	w.buf.WriteString(planMagic)
@@ -336,8 +297,7 @@ func encodePlanAt(pl *Plan, version byte) []byte {
 	w.varint(int64(p.KMeansIters))
 	w.uvarint(p.Seed)
 	w.varint(pl.maxInsts)
-	imgHash := pl.imageHash()
-	w.buf.Write(imgHash[:])
+	w.buf.Write(pl.imgHash[:])
 	w.bool(pl.Full)
 
 	prof := pl.Profile
@@ -390,20 +350,15 @@ func encodePlanAt(pl *Plan, version byte) []byte {
 		if version >= 2 {
 			var base map[int64]int64
 			var fbase map[int64]float64
-			var st, sft, wt, wft []int64
 			if pl.img != nil {
 				base, fbase = pl.img.Data, pl.img.FData
-			} else if r.delta != nil {
-				// Decoded v2 plan, not yet bound: the Mem maps hold just
-				// the delta; write it (and its tombstones) back verbatim.
-				st, sft = r.delta.snapTombs, r.delta.snapFTombs
-				wt, wft = r.delta.warmTombs, r.delta.warmFTombs
 			}
-			w.snapshotDelta(&r.Snap, base, fbase, st, sft)
-			w.snapshotDelta(&r.WarmSnap, base, fbase, wt, wft)
+			w.snapshotDelta(&r.Snap, r.snapDelta, base, fbase)
+			w.snapshotDelta(&r.WarmSnap, r.warmDelta, base, fbase)
 		} else {
-			w.snapshot(&r.Snap)
-			w.snapshot(&r.WarmSnap)
+			snap, warm := pl.repSnap(i), pl.windowSnap(i)
+			w.snapshot(&snap)
+			w.snapshot(&warm)
 		}
 	}
 	w.u8(planEnd)
@@ -590,90 +545,90 @@ func (r *planReader) snapshot(what string) (emulator.Snapshot, error) {
 }
 
 // snapshotDelta reads the v2 checkpoint section. The returned snapshot's
-// Mem/FMem hold only the delta entries; the tombstone lists name base
-// addresses the checkpoint deleted. Both stay unresolved until LoadPlan
-// binds an image and materializes the full maps.
-func (r *planReader) snapshotDelta(what string) (emulator.Snapshot, []int64, []int64, error) {
+// Mem/FMem hold only the delta entries; the returned memDelta's tombstone
+// lists name base addresses the checkpoint deleted. Both stay unresolved
+// until the snapshot is materialized against a bound image.
+func (r *planReader) snapshotDelta(what string) (emulator.Snapshot, *memDelta, error) {
 	var s emulator.Snapshot
 	var err error
 	for i := range s.IntRegs {
 		if s.IntRegs[i], err = r.varint(what + " int register"); err != nil {
-			return s, nil, nil, err
+			return s, nil, err
 		}
 	}
 	for i := range s.FPRegs {
 		if s.FPRegs[i], err = r.float(what + " fp register"); err != nil {
-			return s, nil, nil, err
+			return s, nil, err
 		}
 	}
 	pc, err := r.varint(what + " pc")
 	if err != nil {
-		return s, nil, nil, err
+		return s, nil, err
 	}
 	s.PC = int(pc)
 	if s.Seq, err = r.varint(what + " seq"); err != nil {
-		return s, nil, nil, err
+		return s, nil, err
 	}
 	if s.Halted, err = r.bool(what + " halted"); err != nil {
-		return s, nil, nil, err
+		return s, nil, err
 	}
 	nm, err := r.count(what+" changed memory entries", maxMapEntries)
 	if err != nil {
-		return s, nil, nil, err
+		return s, nil, err
 	}
 	s.Mem = make(map[int64]int64, hint(nm))
 	for i := 0; i < nm; i++ {
 		a, err := r.varint(what + " memory address")
 		if err != nil {
-			return s, nil, nil, err
+			return s, nil, err
 		}
 		v, err := r.varint(what + " memory value")
 		if err != nil {
-			return s, nil, nil, err
+			return s, nil, err
 		}
 		s.Mem[a] = v
 	}
 	nt, err := r.count(what+" memory tombstones", maxMapEntries)
 	if err != nil {
-		return s, nil, nil, err
+		return s, nil, err
 	}
 	tombs := make([]int64, 0, hint(nt))
 	for i := 0; i < nt; i++ {
 		a, err := r.varint(what + " memory tombstone")
 		if err != nil {
-			return s, nil, nil, err
+			return s, nil, err
 		}
 		tombs = append(tombs, a)
 	}
 	nf, err := r.count(what+" changed fp memory entries", maxMapEntries)
 	if err != nil {
-		return s, nil, nil, err
+		return s, nil, err
 	}
 	s.FMem = make(map[int64]float64, hint(nf))
 	for i := 0; i < nf; i++ {
 		a, err := r.varint(what + " fp memory address")
 		if err != nil {
-			return s, nil, nil, err
+			return s, nil, err
 		}
 		v, err := r.float(what + " fp memory value")
 		if err != nil {
-			return s, nil, nil, err
+			return s, nil, err
 		}
 		s.FMem[a] = v
 	}
 	nft, err := r.count(what+" fp memory tombstones", maxMapEntries)
 	if err != nil {
-		return s, nil, nil, err
+		return s, nil, err
 	}
 	ftombs := make([]int64, 0, hint(nft))
 	for i := 0; i < nft; i++ {
 		a, err := r.varint(what + " fp memory tombstone")
 		if err != nil {
-			return s, nil, nil, err
+			return s, nil, err
 		}
 		ftombs = append(ftombs, a)
 	}
-	return s, tombs, ftombs, nil
+	return s, &memDelta{tombs: tombs, ftombs: ftombs}, nil
 }
 
 // hint caps a pre-allocation size derived from untrusted input: the data
@@ -853,14 +808,12 @@ func DecodePlan(data []byte) (*Plan, [sha256.Size]byte, error) {
 			return nil, imgHash, err
 		}
 		if version >= 2 {
-			var ds repDeltaState
-			if rep.Snap, ds.snapTombs, ds.snapFTombs, err = r.snapshotDelta("rep checkpoint"); err != nil {
+			if rep.Snap, rep.snapDelta, err = r.snapshotDelta("rep checkpoint"); err != nil {
 				return nil, imgHash, err
 			}
-			if rep.WarmSnap, ds.warmTombs, ds.warmFTombs, err = r.snapshotDelta("rep warm checkpoint"); err != nil {
+			if rep.WarmSnap, rep.warmDelta, err = r.snapshotDelta("rep warm checkpoint"); err != nil {
 				return nil, imgHash, err
 			}
-			rep.delta = &ds
 		} else {
 			if rep.Snap, err = r.snapshot("rep checkpoint"); err != nil {
 				return nil, imgHash, err
@@ -886,29 +839,26 @@ func DecodePlan(data []byte) (*Plan, [sha256.Size]byte, error) {
 	return pl, imgHash, nil
 }
 
-// imageHash returns the hash identifying the program this plan was built
-// for: computed from the bound image when there is one, otherwise the hash
-// recorded in the plan file (a decoded plan is encodable before binding).
-func (pl *Plan) imageHash() [sha256.Size]byte {
-	if pl.img != nil {
-		return ImageHash(pl.img)
-	}
-	return pl.imgHash
-}
-
 // LoadPlan decodes NRPF bytes and binds the plan to the image it will
 // estimate, verifying that the file was built for exactly this program,
 // stream bound and sampling configuration. Version, hash or parameter
 // mismatches are *FormatErrors: the caller treats them as a cache miss and
 // rebuilds — a stale plan is never trusted.
 func LoadPlan(data []byte, img *program.Image, maxInsts int64, p Params) (*Plan, error) {
+	return LoadPlanHashed(data, img, img.ContentHash(), maxInsts, p)
+}
+
+// LoadPlanHashed is LoadPlan for a caller that already holds the image's
+// content hash (compiler.Result.ImageHash), sparing a pass over the image.
+// imgHash must be img.ContentHash().
+func LoadPlanHashed(data []byte, img *program.Image, imgHash [sha256.Size]byte, maxInsts int64, p Params) (*Plan, error) {
 	pl, gotHash, err := DecodePlan(data)
 	if err != nil {
 		return nil, err
 	}
-	if want := ImageHash(img); gotHash != want {
+	if gotHash != imgHash {
 		return nil, &FormatError{Offset: int64(len(planMagic)) + 1,
-			Msg: fmt.Sprintf("image hash mismatch: plan built for %x, image is %x", gotHash[:8], want[:8])}
+			Msg: fmt.Sprintf("image hash mismatch: plan built for %x, image is %x", gotHash[:8], imgHash[:8])}
 	}
 	if pl.maxInsts != maxInsts {
 		return nil, &FormatError{Msg: fmt.Sprintf("stream bound mismatch: plan built for %d, want %d", pl.maxInsts, maxInsts)}
@@ -916,43 +866,58 @@ func LoadPlan(data []byte, img *program.Image, maxInsts int64, p Params) (*Plan,
 	if norm := p.Normalize(); pl.Params != norm {
 		return nil, &FormatError{Msg: fmt.Sprintf("params mismatch: plan built for %+v, want %+v", pl.Params, norm)}
 	}
-	// Materialize v2 delta checkpoints against the now-verified image: base
-	// data, minus tombstones, overlaid with the delta entries — the exact
-	// inverse of snapshotDelta, so a bound plan re-encodes byte-identically.
-	for i := range pl.Reps {
-		rep := &pl.Reps[i]
-		d := rep.delta
-		if d == nil {
-			continue
-		}
-		rep.Snap.Mem = overlayMem(img.Data, rep.Snap.Mem, d.snapTombs)
-		rep.Snap.FMem = overlayFMem(img.FData, rep.Snap.FMem, d.snapFTombs)
-		rep.WarmSnap.Mem = overlayMem(img.Data, rep.WarmSnap.Mem, d.warmTombs)
-		rep.WarmSnap.FMem = overlayFMem(img.FData, rep.WarmSnap.FMem, d.warmFTombs)
-		rep.delta = nil
-	}
+	// v2 checkpoints stay in delta form until something reads them (see
+	// windowSnap and repSnap), so binding costs nothing per representative.
 	pl.img = img
+	pl.windowSnaps = make([]lazySnap, len(pl.Reps))
 	return pl, nil
 }
 
-// overlayMem reconstructs a full checkpoint memory map from its delta form.
-func overlayMem(base, delta map[int64]int64, tombs []int64) map[int64]int64 {
-	full := make(map[int64]int64, len(base)+len(delta))
-	for a, v := range base {
-		full[a] = v
-	}
-	for _, a := range tombs {
-		delete(full, a)
-	}
-	for a, v := range delta {
-		full[a] = v
-	}
-	return full
+// lazySnap is a checkpoint materialized from its v2 delta form on first use.
+type lazySnap struct {
+	once sync.Once
+	snap emulator.Snapshot
 }
 
-// overlayFMem is overlayMem for the floating-point memory map.
-func overlayFMem(base, delta map[int64]float64, tombs []int64) map[int64]float64 {
-	full := make(map[int64]float64, len(base)+len(delta))
+// windowSnap returns representative i's window-entry checkpoint (WarmSnap)
+// with full memory maps. A loaded plan materializes it against the bound
+// image on first use — base data, minus tombstones, overlaid with the delta
+// entries, the exact inverse of snapshotDelta — and keeps it: every
+// estimate restores it. The first estimate does this inside its window
+// workers, alongside the warm replay, rather than serially at load time.
+func (pl *Plan) windowSnap(i int) emulator.Snapshot {
+	rep := &pl.Reps[i]
+	if rep.warmDelta == nil {
+		return rep.WarmSnap
+	}
+	ls := &pl.windowSnaps[i]
+	ls.once.Do(func() { ls.snap = rep.warmDelta.materialize(rep.WarmSnap, pl.img) })
+	return ls.snap
+}
+
+// repSnap returns representative i's warm-span checkpoint (Snap) with full
+// memory maps, materializing it from delta form without keeping it: only
+// the general warming path reads it, once per geometry.
+func (pl *Plan) repSnap(i int) emulator.Snapshot {
+	rep := &pl.Reps[i]
+	if rep.snapDelta == nil {
+		return rep.Snap
+	}
+	return rep.snapDelta.materialize(rep.Snap, pl.img)
+}
+
+// materialize returns s — a snapshot whose maps hold only delta entries —
+// with full memory maps rebuilt against img.
+func (d *memDelta) materialize(s emulator.Snapshot, img *program.Image) emulator.Snapshot {
+	s.Mem = overlay(img.Data, s.Mem, d.tombs)
+	s.FMem = overlay(img.FData, s.FMem, d.ftombs)
+	return s
+}
+
+// overlay reconstructs a full checkpoint memory map from its delta form:
+// a clone of the image's base data, minus tombstones, plus the delta.
+func overlay[V any](base, delta map[int64]V, tombs []int64) map[int64]V {
+	full := make(map[int64]V, len(base)+len(delta))
 	for a, v := range base {
 		full[a] = v
 	}

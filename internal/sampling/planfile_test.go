@@ -147,11 +147,11 @@ func TestPlanFileRoundTrip(t *testing.T) {
 		}
 	}
 
-	key := PlanKey(res.Image, 1<<20, p)
+	key := PlanKey(res.ImageHash(), 1<<20, p)
 	if len(key) != 64 {
 		t.Fatalf("PlanKey %q is not sha256 hex", key)
 	}
-	if key != PlanKey(res.Image, 1<<20, p) {
+	if key != PlanKey(res.ImageHash(), 1<<20, p) {
 		t.Fatal("PlanKey is not deterministic")
 	}
 }
@@ -184,15 +184,15 @@ func TestPlanFileV1BackwardCompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading v2 bytes: %v", err)
 	}
-	// Both loads are bound plans with materialized snapshots; re-encoding
-	// canonicalises them, so byte equality here means the v1 full maps and
-	// the v2 delta reconstruction agree entry for entry.
+	// The v1 load holds full snapshot maps and the v2 load delta ones;
+	// re-encoding canonicalises both, so byte equality here means the v1
+	// full maps and the v2 deltas agree entry for entry.
 	if !bytes.Equal(EncodePlan(fromV1), EncodePlan(fromV2)) {
 		t.Fatal("plan loaded from v1 bytes differs from plan loaded from v2 bytes")
 	}
 
 	// The PlanKey tag is frozen: a format bump must not cold-start stores.
-	key := PlanKey(res.Image, 1<<20, p)
+	key := PlanKey(res.ImageHash(), 1<<20, p)
 	if got := planKeyTag; got != "noreba-plan-v1" {
 		t.Fatalf("planKeyTag drifted to %q — this cold-starts every plan store", got)
 	}

@@ -257,7 +257,7 @@ func BuildSamplingPlan(res *CompileResult, maxInsts int64, p SamplingParams) (*S
 // the compiled image's content hash, the stream bound and the normalized
 // parameters. Recompiling the program or changing any input yields a new key.
 func SamplingPlanKey(res *CompileResult, maxInsts int64, p SamplingParams) string {
-	return sampling.PlanKey(res.Image, maxInsts, p)
+	return sampling.PlanKey(res.ImageHash(), maxInsts, p)
 }
 
 // EncodeSamplingPlan serialises a plan into the versioned binary plan-file
@@ -271,7 +271,7 @@ func EncodeSamplingPlan(pl *SamplingPlan) []byte { return sampling.EncodePlan(pl
 // mismatched bytes fail with a *SamplingFormatError — callers treat that as
 // a cache miss and rebuild with BuildSamplingPlan.
 func LoadSamplingPlan(data []byte, res *CompileResult, maxInsts int64, p SamplingParams) (*SamplingPlan, error) {
-	return sampling.LoadPlan(data, res.Image, maxInsts, p)
+	return sampling.LoadPlanHashed(data, res.Image, res.ImageHash(), maxInsts, p)
 }
 
 // Observability and invariant checking.

@@ -47,6 +47,12 @@ sh scripts/cluster_smoke.sh
 # scheduling-order regression can't hide inside the broader suite.
 go test -race -run 'TestEstimateConcurrentDeterminism' ./internal/sampling
 
+# Plan reuse determinism: windows on recycled cores, fed by a warm replay
+# that publishes each representative's state while later ones still warm,
+# must match fresh-core estimates byte for byte — eight concurrent estimates
+# over every policy, interleaving cache geometries on one plan.
+go test -race -run 'TestRecycledEstimateDeterminism' ./internal/sampling
+
 # Correctness substrate over the program generator: fifty generated programs
 # under every commit policy (sanitized, differential against the emulator)
 # already ran under the race detector inside `go test -race ./...` above
