@@ -5,8 +5,6 @@
 // return-address stack for indirect jump (jalr) targets.
 package branchpred
 
-import mathbits "math/bits"
-
 // Predictor predicts conditional branch directions. Update must be called
 // for every dynamic conditional branch in program order with the actual
 // outcome; it also advances internal history.
@@ -40,27 +38,15 @@ type TAGE struct {
 
 	// Global branch history, packed: bit a of the 128-bit value hist[1]:hist[0]
 	// is the outcome of the conditional branch retired a shifts ago (bit 0 of
-	// hist[0] is the newest). The folded per-table indices and tags derived
-	// from it are memoized per history generation — every index/tag lookup
-	// between two history shifts (the frontend Predict, the commit-time
-	// Update, and any allocation probes) sees the same history, so the folds
-	// are computed once per retired branch instead of once per lookup.
+	// hist[0] is the newest). The folded per-table indices and tags are kept
+	// in final form — each equals foldHistory of its (length, width) pair —
+	// and are updated in O(1) per history shift by shiftFolds, so index and
+	// tag lookups read them directly. Clone's struct copy keeps them
+	// consistent with hist.
 	hist     [2]uint64
-	histGen  uint64
-	memoGen  uint64            // histGen the folds below were computed at
 	foldIdx  [numTagged]uint32 // foldHistory(histLens[i], taggedBits)
 	foldTagA [numTagged]uint32 // foldHistory(histLens[i], tagBits)
 	foldTagB [numTagged]uint32 // foldHistory(histLens[i], tagBits-1)
-
-	// Circular shift registers, one per memoized fold: csrX[i] holds the
-	// unreversed positional fold Q(n, bits) = XOR over ages a < n of
-	// h_a << (a mod bits), maintained O(1) per history shift (the Seznec
-	// CSR formulation) instead of rescanned from the packed history. The
-	// memoized fold values above derive from these in O(1) each — see
-	// foldFromCSR. Clone's struct copy keeps them consistent with hist.
-	csrIdx  [numTagged]uint32 // Q(histLens[i], taggedBits)
-	csrTagA [numTagged]uint32 // Q(histLens[i], tagBits)
-	csrTagB [numTagged]uint32 // Q(histLens[i], tagBits-1)
 
 	useAlt int8 // 4-bit counter choosing alt prediction on weak providers
 
@@ -93,134 +79,89 @@ func NewTAGE() *TAGE {
 	for i := range t.tables {
 		t.tables[i] = make([]taggedEntry, 1<<taggedBits)
 	}
-	t.memoGen = ^uint64(0) // no folds memoized yet
 	return t
 }
 
-// foldHistory folds the most recent n history bits into bits output bits:
-// the bits are grouped newest-first into bits-wide chunks (newest bit at
-// each chunk's MSB) and the chunks XORed together, the final partial chunk
-// unshifted. Chunks are extracted word-parallel from the packed history;
-// per-chunk bit order is restored with one Reverse32.
-func (t *TAGE) foldHistory(n, bits int) uint32 {
-	var raw uint32
-	for pos := 0; pos+bits <= n; pos += bits {
-		raw ^= t.histBits(pos, bits)
+// foldSpec holds one fold's constants for the O(1) shift update, derived
+// from its history length n and width w with rem = n mod w:
+//
+//   - rotate the fold right by one within w (a full chunk's bit at age a sits
+//     at position w-1-(a mod w), so aging every bit by one moves it right);
+//   - XOR out the outgoing bit, age n-1, which the rotation wrapped to w-1;
+//   - n >= w: XOR the incoming bit in at w-1, and when rem > 0 move the bit
+//     at (pre-shift) age n-rem-1 — the one crossing from the last full
+//     chunk into the partial chunk, which sits newest-at-MSB in its own rem
+//     bits — from position w-1 to rem-1;
+//   - n < w: the whole history is one partial chunk; XOR the incoming bit in
+//     at n-1.
+type foldSpec struct {
+	top       uint32 // w-1: rotation wrap and outgoing position
+	mask      uint32 // 1<<w - 1
+	inShift   uint32 // position the incoming bit lands at
+	outAge    uint32 // n-1
+	crossAge  uint32 // n-rem-1 (any valid age when crossMask is 0)
+	crossMask uint32 // 1<<(w-1) | 1<<(rem-1) for a crossing, else 0
+}
+
+func newFoldSpec(n, w int) foldSpec {
+	s := foldSpec{top: uint32(w - 1), mask: 1<<w - 1, inShift: uint32(w - 1), outAge: uint32(n - 1)}
+	rem := n % w
+	switch {
+	case n < w:
+		s.inShift = uint32(n - 1)
+	case rem > 0:
+		s.crossAge = uint32(n - rem - 1)
+		s.crossMask = 1<<(w-1) | 1<<(rem-1)
 	}
-	f := reverseBits(raw, bits)
-	if cnt := n % bits; cnt > 0 {
-		f ^= reverseBits(t.histBits(n-cnt, cnt), cnt)
+	return s
+}
+
+// foldSpecs holds each table's index, tag-A and tag-B fold constants.
+var foldSpecs = func() (s [numTagged][3]foldSpec) {
+	for i, n := range histLens {
+		s[i] = [3]foldSpec{newFoldSpec(n, taggedBits), newFoldSpec(n, tagBits), newFoldSpec(n, tagBits-1)}
 	}
-	return f
+	return s
+}()
+
+// histBit returns the history bit at age a (pre-shift), 0 <= a < maxHist.
+func (t *TAGE) histBit(a uint32) uint32 {
+	return uint32(t.hist[a>>6&1]>>(a&63)) & 1
 }
 
-// histBits returns history bits at ages [pos, pos+width), age pos at bit 0.
-func (t *TAGE) histBits(pos, width int) uint32 {
-	var v uint64
-	if pos >= 64 {
-		v = t.hist[1] >> (pos - 64)
-	} else {
-		v = t.hist[0] >> pos
-		if pos+width > 64 {
-			v |= t.hist[1] << (64 - pos)
-		}
-	}
-	return uint32(v) & (1<<width - 1)
+// shift returns fold f after one history shift: in is the incoming
+// outcome, out and cross the pre-shift bits at outAge and crossAge.
+func (s *foldSpec) shift(f, in, out, cross uint32) uint32 {
+	f = (f>>1 | f<<s.top) & s.mask
+	return f ^ out<<s.top ^ in<<s.inShift ^ cross*s.crossMask
 }
 
-// reverseBits reverses the low width bits of v.
-func reverseBits(v uint32, width int) uint32 {
-	return mathbits.Reverse32(v) >> (32 - width)
-}
-
-// rotl1 rotates the low width bits of v left by one.
-func rotl1(v uint32, width int) uint32 {
-	return (v<<1 | v>>(width-1)) & (1<<width - 1)
-}
-
-// shiftCSRs advances every circular shift register by one history position.
-// Must be called immediately before the history shift that records taken:
-// the outgoing bit of each window (age n-1) is read from the pre-shift
-// history. Aging every bit by one rotates its chunk position (a mod bits)
-// left by one; the incoming bit lands at position 0 and the outgoing bit —
-// which the rotation wrapped to position n mod bits — is cancelled.
-func (t *TAGE) shiftCSRs(taken bool) {
-	var b uint32
+// shiftFolds advances every fold by one history position. Must be called
+// immediately before the history shift that records taken: the outgoing and
+// crossing bits are read from the pre-shift history.
+func (t *TAGE) shiftFolds(taken bool) {
+	var in uint32
 	if taken {
-		b = 1
+		in = 1
 	}
-	for i, n := range histLens {
-		out := t.histBits(n-1, 1)
-		t.csrIdx[i] = rotl1(t.csrIdx[i], taggedBits) ^ out<<(n%taggedBits) ^ b
-		t.csrTagA[i] = rotl1(t.csrTagA[i], tagBits) ^ out<<(n%tagBits) ^ b
-		t.csrTagB[i] = rotl1(t.csrTagB[i], tagBits-1) ^ out<<(n%(tagBits-1)) ^ b
-	}
-}
-
-// foldFromCSR derives foldHistory(n, bits) from the maintained CSR in O(1).
-// The CSR accumulates chunks in positional (unreversed) bit order with the
-// final partial chunk included at the low rem bits; foldHistory reverses
-// each full chunk and XORs the partial chunk reversed within its own rem
-// width. Splitting the partial chunk P back out of the CSR and re-adding it
-// reversed-within-rem reconciles the two.
-func (t *TAGE) foldFromCSR(csr uint32, n, bits int) uint32 {
-	rem := n % bits
-	if rem == 0 {
-		return reverseBits(csr, bits)
-	}
-	p := t.histBits(n-rem, rem)
-	return reverseBits(csr^p, bits) ^ reverseBits(p, rem)
-}
-
-// rebuildCSRs recomputes every circular shift register from the packed
-// history via the reference fold. Slow path: only needed when hist is
-// replaced wholesale rather than shifted (tests; Clone never needs it since
-// the struct copy keeps CSRs and hist consistent).
-func (t *TAGE) rebuildCSRs() {
-	for i, n := range histLens {
-		t.csrIdx[i] = t.rawFold(n, taggedBits)
-		t.csrTagA[i] = t.rawFold(n, tagBits)
-		t.csrTagB[i] = t.rawFold(n, tagBits-1)
-	}
-	t.memoGen = ^uint64(0)
-}
-
-// rawFold computes the positional (unreversed, partial-chunk-included) fold
-// Q(n, bits) directly from the packed history.
-func (t *TAGE) rawFold(n, bits int) uint32 {
-	var q uint32
-	for pos := 0; pos < n; pos += bits {
-		w := bits
-		if pos+w > n {
-			w = n - pos
+	for i := range foldSpecs {
+		sp := &foldSpecs[i]
+		out := t.histBit(sp[0].outAge) // n-1 is shared by the table's three folds
+		t.foldIdx[i] = sp[0].shift(t.foldIdx[i], in, out, t.histBit(sp[0].crossAge))
+		if tagBits == taggedBits {
+			t.foldTagA[i] = t.foldIdx[i] // same (length, width) pair, same fold
+		} else {
+			t.foldTagA[i] = sp[1].shift(t.foldTagA[i], in, out, t.histBit(sp[1].crossAge))
 		}
-		q ^= t.histBits(pos, w)
+		t.foldTagB[i] = sp[2].shift(t.foldTagB[i], in, out, t.histBit(sp[2].crossAge))
 	}
-	return q
-}
-
-// refreshFolds rederives the memoized folded indices and tags from the
-// incrementally-maintained CSRs if the history has shifted since they were
-// last computed. O(1) per fold.
-func (t *TAGE) refreshFolds() {
-	if t.memoGen == t.histGen {
-		return
-	}
-	for i, n := range histLens {
-		t.foldIdx[i] = t.foldFromCSR(t.csrIdx[i], n, taggedBits)
-		t.foldTagA[i] = t.foldFromCSR(t.csrTagA[i], n, tagBits)
-		t.foldTagB[i] = t.foldFromCSR(t.csrTagB[i], n, tagBits-1)
-	}
-	t.memoGen = t.histGen
 }
 
 func (t *TAGE) index(pc, table int) uint32 {
-	t.refreshFolds()
 	return (uint32(pc) ^ uint32(pc)>>taggedBits ^ t.foldIdx[table] ^ uint32(table)*0x9e37) & (1<<taggedBits - 1)
 }
 
 func (t *TAGE) tag(pc, table int) uint32 {
-	t.refreshFolds()
 	return (uint32(pc) ^ t.foldTagA[table] ^ t.foldTagB[table]<<1) & (1<<tagBits - 1)
 }
 
@@ -356,15 +297,14 @@ func (t *TAGE) Update(pc int, taken bool) {
 		}
 	}
 
-	// Shift global history; the CSRs shift first (they read each window's
-	// outgoing bit from the pre-shift history).
-	t.shiftCSRs(taken)
+	// Shift global history; the folds shift first (they read outgoing and
+	// crossing bits from the pre-shift history).
+	t.shiftFolds(taken)
 	t.hist[1] = t.hist[1]<<1 | t.hist[0]>>63
 	t.hist[0] <<= 1
 	if taken {
 		t.hist[0] |= 1
 	}
-	t.histGen++
 }
 
 func pm(taken bool) int8 {

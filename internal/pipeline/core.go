@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/noreba-sim/noreba/internal/branchpred"
@@ -23,13 +24,18 @@ import (
 // in-flight span rather than the stream length.
 //
 // The hot loop is event-driven: instead of rescanning the ROB every cycle,
-// the core maintains the derived state the scans used to recompute —
-// a ready queue fed by producer-to-consumer wakeups at writeback, a
-// commit-candidate queue fed at the event that first makes each instruction
-// retirable, blocker deques tracking the oldest instruction that still
-// pins each policy's commit boundary, and a cycle-indexed completion wheel.
-// Every structure is ordered by dispatchOrder — the order the old code
-// scanned the ROB slice in — so cycle-level behaviour is bit-identical.
+// the core keeps the derived state the scans used to recompute up to date
+// at the events that change it — a ready set fed by producer-to-consumer
+// wakeups at writeback, a commit-candidate set fed at the event that first
+// makes each instruction retirable, Seq-keyed branch sets updated at
+// dispatch, resolution, commit and squash, blocker deques tracking the
+// oldest instruction that still pins each policy's commit boundary, the
+// window's commit and memory frontiers moved only when the record at one
+// commits or records load behind it, and a cycle-indexed completion wheel.
+// The ready and candidate sets are ordered by dispatchOrder — the order
+// the old code scanned the ROB slice in — so cycle-level behaviour is
+// bit-identical; every ordered set is an O(1) ring with a membership
+// bitmap (entrySet). Each record is decoded once, when the window loads it.
 // The sanitizer (Config.Sanitize) re-derives all of it from scratch each
 // cycle and cross-checks the incremental state.
 type Core struct {
@@ -70,15 +76,15 @@ type Core struct {
 	nextDispatchOrder int64
 
 	// Event-driven issue: dispatched, unissued entries whose waits counter
-	// hit zero, sorted by dispatch order. stepIssue walks this instead of
+	// hit zero, keyed by dispatch order. stepIssue walks this instead of
 	// the ROB.
-	readyQ []*Entry
+	readyQ entrySet
 
 	// Event-driven commit: entries that have passed the event that first
 	// makes them retirable under the configured policy (see candMode),
-	// sorted by dispatch order. eligible() remains the authoritative
-	// recheck at commit time.
-	candQ    []*Entry
+	// keyed by dispatch order. eligible() remains the authoritative recheck
+	// at commit time.
+	candQ    entrySet
 	candMode candMode
 
 	// Policy-selected incremental boundary trackers (see deques in sched.go).
@@ -92,14 +98,14 @@ type Core struct {
 	// position can block positional commit walks (residentCutoff).
 	committedResidents []*Entry
 
-	// Live (dispatched, uncommitted, unsquashed) conditional branches in age
-	// order; replaces the seq-keyed branch map.
-	liveBranches []*Entry
+	// Live (dispatched, uncommitted, unsquashed) conditional branches keyed
+	// by Seq.
+	liveBranches entrySet
 
-	// Unresolved conditional branches in age order, maintained eagerly at
+	// Unresolved conditional branches keyed by Seq, maintained eagerly at
 	// resolve/squash; unmarkedUnresolved is the BranchID==0 subset.
-	unresolvedBranches []*Entry
-	unmarkedUnresolved []*Entry
+	unresolvedBranches entrySet
+	unmarkedUnresolved entrySet
 
 	// Pending mispredicted-but-unresolved conditional branches (fetch-time
 	// knowledge standing in for wrong-path fetch).
@@ -120,11 +126,9 @@ type Core struct {
 	pool entryPool
 	dead []*Entry
 
-	// Retirement bookkeeping. Per-instruction flags live in the window's
-	// records; only the frontiers stay here.
-	frontierIdx    int // smallest trace index not yet committed
-	highWater      int // maximum cursor value ever reached
-	memFrontierIdx int // smallest memory-op trace index not yet committed
+	// Retirement bookkeeping. Per-instruction flags and the commit and
+	// memory frontiers live in the window.
+	highWater int // maximum cursor value ever reached
 
 	// Observability and checking layers (nil/false when disabled).
 	sink    trace.Sink
@@ -272,12 +276,12 @@ func (c *Core) resetShell(cfg Config, src emulator.TraceSource, meta *compiler.M
 	c.blockers = old.blockers.cleared()
 	c.untransMem = old.untransMem.cleared()
 	c.storeQueue = old.storeQueue[:0]
-	c.readyQ = old.readyQ[:0]
-	c.candQ = old.candQ[:0]
+	c.readyQ = old.readyQ.cleared()
+	c.candQ = old.candQ.cleared()
 	c.committedResidents = old.committedResidents[:0]
-	c.liveBranches = old.liveBranches[:0]
-	c.unresolvedBranches = old.unresolvedBranches[:0]
-	c.unmarkedUnresolved = old.unmarkedUnresolved[:0]
+	c.liveBranches = old.liveBranches.cleared()
+	c.unresolvedBranches = old.unresolvedBranches.cleared()
+	c.unmarkedUnresolved = old.unmarkedUnresolved.cleared()
 	c.pendingMisp = old.pendingMisp[:0]
 	c.dead = old.dead[:0]
 	c.policy = resetPolicy(old.policy, cfg)
@@ -322,7 +326,7 @@ func (c *Core) UseMemory(dcache, icache *cache.Hierarchy) {
 
 // Done reports whether every stream instruction has committed: the commit
 // frontier has passed the end of the stream.
-func (c *Core) Done() bool { return !c.win.ensure(c.frontierIdx) }
+func (c *Core) Done() bool { return !c.win.ensure(c.win.frontier) }
 
 // Step advances the core by one cycle. The multicore system interleaves
 // Step calls across cores; single-core callers use Run.
@@ -340,7 +344,7 @@ func (c *Core) Step() {
 	// retired and can never be re-fetched (after a recovery the frontier may
 	// run ahead of the cursor through the OoO-committed replay region, so
 	// the cursor bounds the release too).
-	bound := c.frontierIdx
+	bound := c.win.frontier
 	if c.cursor < bound {
 		bound = c.cursor
 	}
@@ -605,7 +609,7 @@ func (c *Core) RunContext(ctx context.Context) (*Stats, error) {
 		if c.cycle > maxCycles {
 			return c.Finalize(), sanity.Errorf("core/livelock", c.cycle,
 				"exceeded %d cycles at frontier %d with %d instructions pulled (policy %s)",
-				maxCycles, c.frontierIdx, c.win.counts().Insts, c.cfg.Policy)
+				maxCycles, c.win.frontier, c.win.counts().Insts, c.cfg.Policy)
 		}
 		c.Step()
 		if c.sanErr != nil {
@@ -656,7 +660,7 @@ func (c *Core) robUnlink(e *Entry) {
 // recycled Entry can never satisfy a stale lookup.
 func (c *Core) drainFromROB(e *Entry) {
 	c.robUnlink(e)
-	if e.hasDest && c.regProducer[e.rd] == e {
+	if e.hasDest() && c.regProducer[e.rd] == e {
 		c.regProducer[e.rd] = nil
 	}
 	c.dead = append(c.dead, e)
@@ -669,7 +673,7 @@ func (c *Core) readyInsert(e *Entry) {
 		return
 	}
 	e.inReady = true
-	c.readyQ = insertByDispatch(c.readyQ, e)
+	c.readyQ.insert(e.dispatchOrder, e)
 }
 
 // candInsert queues a commit candidate for the policy's walk.
@@ -678,24 +682,7 @@ func (c *Core) candInsert(e *Entry) {
 		return
 	}
 	e.inCand = true
-	c.candQ = insertByDispatch(c.candQ, e)
-}
-
-// candRemove drops a committed entry from the candidate queue.
-func (c *Core) candRemove(e *Entry) {
-	lo, hi := 0, len(c.candQ)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.candQ[mid].dispatchOrder < e.dispatchOrder {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(c.candQ) && c.candQ[lo] == e {
-		c.candQ = removeAt(c.candQ, lo)
-	}
-	e.inCand = false
+	c.candQ.insert(e.dispatchOrder, e)
 }
 
 // wakeConsumers credits every consumer waiting on e (which just completed or
@@ -744,7 +731,7 @@ func (c *Core) removeResident(e *Entry) {
 // therefore not retire this cycle, even though the resident itself is
 // already committed.
 func (c *Core) residentCutoff(boundary int64) int64 {
-	cut := int64(1) << 62
+	cut := noBoundary
 	for _, e := range c.committedResidents {
 		if e.Seq() >= boundary && e.dispatchOrder < cut {
 			cut = e.dispatchOrder
@@ -756,9 +743,6 @@ func (c *Core) residentCutoff(boundary int64) int64 {
 // ---- commit ----
 
 func (c *Core) stepCommit() {
-	// Newly loaded window records may let the memory frontier advance past
-	// non-memory instructions it stopped at last cycle.
-	c.advanceFrontiers()
 	n := c.policy.commit(c, c.cycle, c.cfg.CommitWidth)
 	if n == 0 {
 		// Attribute the stall to the oldest unresolved branch, if any
@@ -792,7 +776,7 @@ func (c *Core) commitEntry(e *Entry) {
 	}
 	e.committed = true
 	e.committedAt = c.cycle
-	if e.idx != c.frontierIdx {
+	if e.idx != c.win.frontier {
 		e.oooCommit = true
 	}
 	// Figure 8's metric: instructions committed past a still-unresolved
@@ -804,11 +788,11 @@ func (c *Core) commitEntry(e *Entry) {
 	}
 	// The record is resident throughout the step that commits the entry
 	// (release happens at end of Step), so the cached pointer is still good.
-	e.rec.committed = true
-	c.advanceFrontiers()
+	c.win.commit(e.rec, e.idx)
 
 	if e.inCand {
-		c.candRemove(e)
+		c.candQ.remove(e.dispatchOrder)
+		e.inCand = false
 	}
 
 	// Steered entries (Noreba) freed their ROB′ slot when they moved to a
@@ -822,7 +806,7 @@ func (c *Core) commitEntry(e *Entry) {
 	} else {
 		c.addResident(e)
 	}
-	if e.hasDest {
+	if e.hasDest() {
 		c.physUsed--
 	}
 	switch e.class {
@@ -844,10 +828,10 @@ func (c *Core) commitEntry(e *Entry) {
 		// The store's write reaches the cache at retirement.
 		c.dcache.Access(e.addr, c.cycle)
 	}
-	if e.isCondBranch {
-		c.liveBranches = removeBySeq(c.liveBranches, e.Seq())
+	if e.isCondBranch() {
+		c.liveBranches.remove(e.seq)
 	}
-	if e.isFence {
+	if e.isFence() {
 		c.stats.FencesCommitted++
 	}
 	if c.traceOn {
@@ -874,15 +858,6 @@ func (c *Core) commitEntry(e *Entry) {
 		})
 	}
 	c.stats.Committed++
-}
-
-// advanceFrontiers walks the frontiers over the loaded window. Both stop at
-// the loaded end at the latest: an unloaded instruction is uncommitted by
-// definition, and no in-flight entry can have an index beyond the loaded
-// end, so stopping there never changes an eligibility comparison.
-func (c *Core) advanceFrontiers() {
-	c.frontierIdx = c.win.advanceCommitted(c.frontierIdx)
-	c.memFrontierIdx = c.win.advanceMemFrontier(c.memFrontierIdx)
 }
 
 // eligible is the policy-independent part of the commit conditions.
@@ -919,7 +894,7 @@ func (c *Core) eligible(e *Entry, cycle int64, requireMemOrder, requireCompletio
 		if !(e.issued && e.doneAt <= cycle) {
 			return false
 		}
-	case e.isCondBranch || e.isJalr:
+	case e.isCondBranch() || e.isJalr():
 		if !e.resolved {
 			return false
 		}
@@ -928,17 +903,17 @@ func (c *Core) eligible(e *Entry, cycle int64, requireMemOrder, requireCompletio
 			return false
 		}
 	}
-	if e.isFence {
+	if e.isFence() {
 		// §4.5: commit is strictly in order across a synchronisation
 		// barrier.
-		if e.idx != c.frontierIdx {
+		if e.idx != c.win.frontier {
 			return false
 		}
 		if c.cfg.FenceGate != nil && !c.cfg.FenceGate(c.stats.FencesCommitted) {
 			return false
 		}
 	}
-	if requireMemOrder && (e.isMem || e.isFence) && e.idx != c.memFrontierIdx {
+	if requireMemOrder && (e.isMem() || e.isFence()) && e.idx != c.win.memFrontier {
 		return false
 	}
 	if c.poisoned(e) {
@@ -966,31 +941,21 @@ func (c *Core) poisoned(e *Entry) bool {
 	return false
 }
 
-// oldestUnresolvedBranch returns the front of the eagerly-maintained
-// unresolved-branch list (branches leave it at resolution and squash).
-func (c *Core) oldestUnresolvedBranch() *Entry {
-	if len(c.unresolvedBranches) == 0 {
-		return nil
-	}
-	return c.unresolvedBranches[0]
-}
+// oldestUnresolvedBranch returns the oldest member of the eagerly-maintained
+// unresolved-branch set (branches leave it at resolution and squash).
+func (c *Core) oldestUnresolvedBranch() *Entry { return c.unresolvedBranches.first() }
 
 // allOlderBranchesResolved reports whether no unresolved conditional branch
 // older than e remains (the serialisation rule for DepOrdered instructions
 // and unmarked branches).
 func (c *Core) allOlderBranchesResolved(e *Entry) bool {
-	return len(c.unresolvedBranches) == 0 || c.unresolvedBranches[0].Seq() >= e.Seq()
+	b := c.unresolvedBranches.first()
+	return b == nil || b.seq >= e.seq
 }
 
 // findLiveBranch returns the live (dispatched, uncommitted, unsquashed)
-// conditional branch with the given sequence number, or nil. Live branches
-// are age-ordered, so the lookup is a binary search.
-func (c *Core) findLiveBranch(seq int64) *Entry {
-	if i := searchSeq(c.liveBranches, seq); i < len(c.liveBranches) && c.liveBranches[i].Seq() == seq {
-		return c.liveBranches[i]
-	}
-	return nil
-}
+// conditional branch with the given sequence number, or nil.
+func (c *Core) findLiveBranch(seq int64) *Entry { return c.liveBranches.get(seq) }
 
 // nonSpecBoundary returns the sequence number of the oldest instruction that
 // blocks non-speculative commit: an unresolved control transfer or a memory
@@ -1001,14 +966,14 @@ func (c *Core) nonSpecBoundary(cycle int64) int64 {
 	for {
 		ref, ok := c.blockers.front()
 		if !ok {
-			return int64(1) << 62
+			return noBoundary
 		}
 		e := ref.e
 		if !ref.live() || e.squashed || e.committed {
 			c.blockers.popFront()
 			continue
 		}
-		if e.isCondBranch || e.isJalr {
+		if e.isCondBranch() || e.isJalr() {
 			if e.resolved {
 				c.blockers.popFront()
 				continue
@@ -1030,7 +995,7 @@ func (c *Core) memTrapBoundary(cycle int64) int64 {
 	for {
 		ref, ok := c.untransMem.front()
 		if !ok {
-			return int64(1) << 62
+			return noBoundary
 		}
 		e := ref.e
 		if !ref.live() || e.squashed || e.committed {
@@ -1046,11 +1011,8 @@ func (c *Core) memTrapBoundary(cycle int64) int64 {
 }
 
 func (c *Core) removeFromStoreQueue(e *Entry) {
-	for i, x := range c.storeQueue {
-		if x == e {
-			c.storeQueue = removeAt(c.storeQueue, i)
-			return
-		}
+	if i := slices.Index(c.storeQueue, e); i >= 0 {
+		c.storeQueue = slices.Delete(c.storeQueue, i, i+1)
 	}
 }
 
@@ -1079,13 +1041,13 @@ func (c *Core) stepComplete() {
 			c.removeResident(e)
 			c.drainFromROB(e)
 		}
-		if e.isCondBranch || e.isJalr {
+		if e.isCondBranch() || e.isJalr() {
 			e.resolved = true
 			e.resolvedAt = c.cycle
-			if e.isCondBranch {
-				c.unresolvedBranches = removeBySeq(c.unresolvedBranches, e.Seq())
+			if e.isCondBranch() {
+				c.unresolvedBranches.remove(e.seq)
 				if c.needUnmarked && e.dep.BranchID == 0 {
-					c.unmarkedUnresolved = removeBySeq(c.unmarkedUnresolved, e.Seq())
+					c.unmarkedUnresolved.remove(e.seq)
 				}
 			}
 			c.policy.resolve(c, e)
@@ -1098,7 +1060,7 @@ func (c *Core) stepComplete() {
 			if c.traceOn && e.mispredicted {
 				c.emit(trace.KindMispredict, e)
 			}
-			if e.isCondBranch {
+			if e.isCondBranch() {
 				c.stats.Branches++
 				if e.mispredicted {
 					c.stats.Mispredicts++
@@ -1110,7 +1072,7 @@ func (c *Core) stepComplete() {
 				c.unblockFetch(e)
 			}
 		}
-		if e.isCondBranch {
+		if e.isCondBranch() {
 			c.stats.branchStall(e.pc).Occurrences++
 		}
 	}
@@ -1178,12 +1140,12 @@ func (c *Core) recover(b *Entry) {
 	// Scheduler state: squashed entries leave the ready and candidate
 	// queues; every squashed branch is younger than b, so the branch lists
 	// truncate. The blocker deques purge squashed references mid-deque.
-	c.readyQ = purgeSquashed(c.readyQ)
-	c.candQ = purgeSquashed(c.candQ)
-	c.liveBranches = truncateYounger(c.liveBranches, b.Seq())
-	c.unresolvedBranches = truncateYounger(c.unresolvedBranches, b.Seq())
+	c.readyQ.purgeSquashed()
+	c.candQ.purgeSquashed()
+	c.liveBranches.truncateAbove(b.seq)
+	c.unresolvedBranches.truncateAbove(b.seq)
 	if c.needUnmarked {
-		c.unmarkedUnresolved = truncateYounger(c.unmarkedUnresolved, b.Seq())
+		c.unmarkedUnresolved.truncateAbove(b.seq)
 	}
 	if c.needBlockers {
 		c.blockers.purgeSquashed()
@@ -1228,7 +1190,7 @@ func (c *Core) squashEntry(e *Entry, dispatched bool) {
 		if !e.issued {
 			c.iqOcc--
 		}
-		if e.hasDest {
+		if e.hasDest() {
 			c.physUsed--
 		}
 		switch e.class {
@@ -1249,60 +1211,49 @@ func (c *Core) squashEntry(e *Entry, dispatched bool) {
 func (c *Core) stepIssue() {
 	budget := c.cfg.IssueWidth
 	var aluUsed, mulDivUsed, fpUsed, loadUsed, storeUsed int
-	i := 0
-	for i < len(c.readyQ) {
-		if budget == 0 {
-			break
-		}
-		e := c.readyQ[i]
+	for e, next := c.readyQ.first(), (*Entry)(nil); e != nil && budget > 0; e = next {
+		next = c.readyQ.after(e.dispatchOrder)
 		switch e.class {
 		case opIntALU, opBranch, opOther:
 			if aluUsed >= c.cfg.IntALUs {
-				i++
 				continue
 			}
 			aluUsed++
 		case opIntMul:
 			if mulDivUsed >= c.cfg.IntMulDiv {
-				i++
 				continue
 			}
 			mulDivUsed++
 		case opIntDiv:
 			if mulDivUsed >= c.cfg.IntMulDiv || c.intDivBusyUntil > c.cycle {
-				i++
 				continue
 			}
 			mulDivUsed++
 			c.intDivBusyUntil = c.cycle + c.cfg.latencyOf(opIntDiv)
 		case opFPALU:
 			if fpUsed >= c.cfg.FPUs {
-				i++
 				continue
 			}
 			fpUsed++
 		case opFPDiv:
 			if fpUsed >= c.cfg.FPUs || c.fpDivBusyUntil > c.cycle {
-				i++
 				continue
 			}
 			fpUsed++
 			c.fpDivBusyUntil = c.cycle + c.cfg.latencyOf(opFPDiv)
 		case opLoad:
 			if loadUsed >= c.cfg.LoadPorts || c.loadBlocked(e) {
-				i++
 				continue
 			}
 			loadUsed++
 		case opStore:
 			if storeUsed >= c.cfg.StorePorts {
-				i++
 				continue
 			}
 			storeUsed++
 		}
 
-		c.readyQ = removeAt(c.readyQ, i)
+		c.readyQ.remove(e.dispatchOrder)
 		e.inReady = false
 		e.issued = true
 		e.issuedAt = c.cycle
@@ -1332,7 +1283,7 @@ func (c *Core) stepIssue() {
 		// would be one cycle late.
 		switch c.candMode {
 		case candRelaxed:
-			if e.isMem {
+			if e.isMem() {
 				c.candInsert(e)
 			}
 		case candCompletion:
@@ -1412,7 +1363,7 @@ func (c *Core) stepDispatch() {
 			c.stats.StallSQ++
 			break
 		}
-		if e.hasDest && c.physUsed >= c.cfg.PhysRegs() {
+		if e.hasDest() && c.physUsed >= c.cfg.PhysRegs() {
 			c.stats.StallRegs++
 			break
 		}
@@ -1436,23 +1387,23 @@ func (c *Core) stepDispatch() {
 			c.sqOcc++
 			c.storeQueue = append(c.storeQueue, e)
 		}
-		if e.hasDest {
+		if e.hasDest() {
 			c.physUsed++
 		}
 
 		// Rename: link register producers.
-		r1, r2 := e.rec.d.Inst.SourceRegs()
+		r1, r2 := e.rec.sources()
 		c.linkProducer(e, r1)
 		c.linkProducer(e, r2)
-		if e.hasDest {
+		if e.hasDest() {
 			c.regProducer[e.rd] = e
 		}
 
-		if e.isCondBranch {
-			c.liveBranches = append(c.liveBranches, e)
-			c.unresolvedBranches = append(c.unresolvedBranches, e)
+		if e.isCondBranch() {
+			c.liveBranches.insert(e.seq, e)
+			c.unresolvedBranches.insert(e.seq, e)
 			if c.needUnmarked && e.dep.BranchID == 0 {
-				c.unmarkedUnresolved = append(c.unmarkedUnresolved, e)
+				c.unmarkedUnresolved.insert(e.seq, e)
 			}
 		}
 		if e.dep.DepSeq >= 0 {
@@ -1460,15 +1411,15 @@ func (c *Core) stepDispatch() {
 		}
 
 		c.robLink(e)
-		if c.needBlockers && (e.isCondBranch || e.isJalr || e.isMem) {
+		if c.needBlockers && (e.isCondBranch() || e.isJalr() || e.isMem()) {
 			c.blockers.push(e)
 		}
-		if c.needTransMem && e.isMem {
+		if c.needTransMem && e.isMem() {
 			c.untransMem.push(e)
 		}
 		// Non-memory, non-control instructions are commit candidates from
 		// dispatch under the relaxed policies (no completion condition).
-		if c.candMode == candRelaxed && !e.isMem && !e.isCondBranch && !e.isJalr {
+		if c.candMode == candRelaxed && !e.isMem() && !e.isCondBranch() && !e.isJalr() {
 			c.candInsert(e)
 		}
 		if e.waits == 0 {
@@ -1541,14 +1492,13 @@ func (c *Core) stepFetch() {
 		idx := c.cursor
 		r := c.win.rec(idx)
 
-		if r.d.Inst.Op.IsSetup() {
+		if r.isSetup() {
 			if !c.cfg.FreeSetup {
 				slots--
 				c.stats.FetchedSetup++
 			}
-			r.committed = true
 			r.fetched = true
-			c.advanceFrontiers()
+			c.win.commit(r, idx)
 			c.cursor++
 			continue
 		}
@@ -1562,7 +1512,6 @@ func (c *Core) stepFetch() {
 		}
 
 		e := c.pool.get()
-		op := r.d.Inst.Op
 		e.idx = idx
 		e.rec = r
 		e.seq = r.d.Seq
@@ -1571,14 +1520,9 @@ func (c *Core) stepFetch() {
 		e.rd = r.d.Inst.Rd
 		e.taken = r.d.Taken
 		e.dep = r.dep
-		e.class = classOf(op)
+		e.decoded = r.decoded
 		e.fetchedAt = c.cycle
 		e.dispatchable = c.cycle + int64(c.cfg.FrontendDepth)
-		e.isCondBranch = op.IsCondBranch()
-		e.isJalr = op == isa.OpJalr
-		e.isMem = op.IsMem()
-		e.isFence = op.IsFence()
-		e.hasDest = r.d.Inst.HasDest()
 		e.windowInst = inWindow
 		e.resident = -1
 		r.fetched = true
@@ -1589,7 +1533,7 @@ func (c *Core) stepFetch() {
 		}
 
 		switch {
-		case e.isCondBranch:
+		case e.isCondBranch():
 			if !r.predicted {
 				pred := r.d.Taken // oracle predictor
 				if c.pred != nil {
@@ -1600,11 +1544,9 @@ func (c *Core) stepFetch() {
 				r.predMisp = pred != r.d.Taken
 			}
 			e.mispredicted = r.predMisp && !r.recovered
-		case r.d.Inst.Op == isa.OpJal:
-			if r.d.Inst.Rd == isa.RA {
-				c.ras.Push(r.d.PC + 1)
-			}
-		case e.isJalr:
+		case r.isCall():
+			c.ras.Push(r.d.PC + 1)
+		case e.isJalr():
 			_, hit := c.ras.Pop(r.d.NextPC)
 			e.mispredicted = !hit
 		}
@@ -1618,7 +1560,7 @@ func (c *Core) stepFetch() {
 
 		c.ifq.push(e)
 
-		if e.isCondBranch && e.mispredicted {
+		if e.isCondBranch() && e.mispredicted {
 			e.resumeIdx = c.cursor
 			c.pendingMisp = append(c.pendingMisp, e)
 			if !c.openWindow(e) {
@@ -1626,7 +1568,7 @@ func (c *Core) stepFetch() {
 			}
 			return // redirect ends the fetch group
 		}
-		if e.isJalr && e.mispredicted {
+		if e.isJalr() && e.mispredicted {
 			e.resumeIdx = c.cursor
 			c.fetchBlockedBy = e
 			return

@@ -42,6 +42,36 @@ func classOf(op isa.Op) opClass {
 	}
 }
 
+// decoded is the per-instruction decode the pipeline stages consult: the
+// functional-unit class and the flags the isa switches would otherwise
+// re-derive at every fetch and dispatch. window.fill decodes each record
+// once; fetch copies the decode into the record's Entry. It is two bytes,
+// so a window record stays exactly two cache lines.
+type decoded struct {
+	class opClass
+	flags decFlags
+}
+
+type decFlags uint8
+
+const (
+	decCondBranch decFlags = 1 << iota
+	decJalr
+	decMem
+	decFence
+	decHasDest // writes an architectural register
+	decSetup   // setBranchId/setDependency: dropped at fetch
+	decCall    // jal writing ra: pushes the return-address stack
+)
+
+func (d decoded) isCondBranch() bool { return d.flags&decCondBranch != 0 }
+func (d decoded) isJalr() bool       { return d.flags&decJalr != 0 }
+func (d decoded) isMem() bool        { return d.flags&decMem != 0 }
+func (d decoded) isFence() bool      { return d.flags&decFence != 0 }
+func (d decoded) hasDest() bool      { return d.flags&decHasDest != 0 }
+func (d decoded) isSetup() bool      { return d.flags&decSetup != 0 }
+func (d decoded) isCall() bool       { return d.flags&decCall != 0 }
+
 // Entry is one in-flight dynamic instruction in the pipeline. Entries are
 // pooled: when an instruction drains (committed and completed, or squashed
 // and reclaimed) its Entry is recycled for a later instruction, with gen
@@ -66,7 +96,7 @@ type Entry struct {
 	rd    isa.Reg
 	taken bool
 	dep   DepInfo
-	class opClass
+	decoded
 
 	gen uint32 // pool generation; bumped on recycle
 
@@ -85,8 +115,6 @@ type Entry struct {
 	dispatchOrder int64
 
 	// Branch state.
-	isCondBranch bool
-	isJalr       bool
 	mispredicted bool
 	resolved     bool
 	resolvedAt   int64
@@ -94,8 +122,6 @@ type Entry struct {
 
 	// Memory state. A memory op "resolves" when its translation succeeds
 	// (addrReadyAt); data arrives at doneAt.
-	isMem       bool
-	isFence     bool
 	addrReadyAt int64
 
 	// Register dependence. producers are the in-flight entries this one
@@ -108,7 +134,6 @@ type Entry struct {
 	producers []entryRef
 	consumers []entryRef
 	waits     int32
-	hasDest   bool
 
 	// Scheduler membership flags (see core.go).
 	inReady bool

@@ -126,12 +126,12 @@ func (p *norebaPolicy) steer(c *Core, cycle int64) bool {
 		}
 		// Loads and stores are steered only once their translation
 		// succeeded (§4.2).
-		if e.isMem && !(e.issued && e.addrReadyAt <= cycle) {
+		if e.isMem() && !(e.issued && e.addrReadyAt <= cycle) {
 			return true
 		}
 		// A synchronisation barrier holds the ROB′ head until every older
 		// branch has resolved; it then commits strictly in order (§4.5).
-		if e.isFence && !c.allOlderBranchesResolved(e) {
+		if e.isFence() && !c.allOlderBranchesResolved(e) {
 			return true
 		}
 
@@ -142,7 +142,7 @@ func (p *norebaPolicy) steer(c *Core, cycle int64) bool {
 		if p.queues[q].len() >= p.queueSize(q) {
 			return true
 		}
-		if e.isCondBranch && e.dep.BranchID > 0 {
+		if e.isCondBranch() && e.dep.BranchID > 0 {
 			if p.cqtLive >= p.cfg.CQTSize {
 				c.stats.CQTFullStalls++
 				return true
@@ -219,8 +219,8 @@ func (p *norebaPolicy) chooseQueue(c *Core, e *Entry, cycle int64) (int, bool) {
 		}
 	}
 
-	if e.isCondBranch || e.isJalr {
-		marked := e.isCondBranch && e.dep.BranchID > 0
+	if e.isCondBranch() || e.isJalr() {
+		marked := e.isCondBranch() && e.dep.BranchID > 0
 		if !marked {
 			// Unmarked control transfer: no compiler information, so the
 			// hardware serialises at it (commit degenerates to in-order
@@ -315,13 +315,13 @@ func (p *norebaPolicy) commit(c *Core, cycle int64, width int) int {
 			if !depSatisfied(c, e) {
 				continue
 			}
-			ooo := e.idx != c.frontierIdx
+			ooo := e.idx != c.win.frontier
 			if ooo && len(p.cit) >= p.cfg.CITSize {
 				c.stats.CITFullStalls++
 				continue
 			}
 			queue.popFront()
-			if e.isCondBranch {
+			if e.isCondBranch() {
 				p.cqtRemove(e.Seq())
 			}
 			c.commitEntry(e)

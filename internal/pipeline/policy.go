@@ -98,6 +98,37 @@ func (inOrderPolicy) commit(c *Core, cycle int64, width int) int {
 	return n
 }
 
+// noBoundary is the commit boundary of a walk nothing blocks.
+const noBoundary = int64(1) << 62
+
+// commitCandidates is the candidate-queue walk shared by the out-of-order
+// policies: in dispatch order, it retires up to width candidates that pass
+// eligible (and depSatisfied when dep is set), stopping at the first
+// candidate at or past boundary — or past a committed resident there (see
+// residentCutoff) — and honouring commitStep's skip-successor rule.
+func (c *Core) commitCandidates(cycle int64, width int, boundary int64, memOrder, completion, dep bool) int {
+	residentCut := noBoundary
+	if boundary != noBoundary {
+		residentCut = c.residentCutoff(boundary)
+	}
+	n := 0
+	for e := c.candQ.first(); e != nil && n < width; {
+		if e.dispatchOrder > residentCut || e.seq >= boundary {
+			break
+		}
+		k, skip := e.dispatchOrder, false
+		if c.eligible(e, cycle, memOrder, completion) && (!dep || depSatisfied(c, e)) {
+			skip = c.commitStep(e) // removes e from candQ
+			n++
+		}
+		e = c.candQ.after(k)
+		if skip {
+			e = c.candQ.after(e.dispatchOrder)
+		}
+	}
+	return n
+}
+
 // nonSpecPolicy is Bell & Lipasti's non-speculative OoO commit: a completed
 // instruction may retire once every older branch has resolved and every
 // older memory operation has passed translation (no possible trap ahead of
@@ -105,62 +136,29 @@ func (inOrderPolicy) commit(c *Core, cycle int64, width int) int {
 type nonSpecPolicy struct{ basePolicy }
 
 func (nonSpecPolicy) commit(c *Core, cycle int64, width int) int {
-	boundary := c.nonSpecBoundary(cycle)
-	residentCut := c.residentCutoff(boundary)
-	n, i := 0, 0
-	for i < len(c.candQ) && n < width {
-		e := c.candQ[i]
-		if e.dispatchOrder > residentCut || e.Seq() >= boundary {
-			break
-		}
-		if c.eligible(e, cycle, true, true) {
-			if c.commitStep(e) { // removes e from candQ at index i
-				i++
-			}
-			n++
-		} else {
-			i++
-		}
-	}
-	return n
+	return c.commitCandidates(cycle, width, c.nonSpecBoundary(cycle), true, true, false)
 }
 
 // idealReconvPolicy commits with Noreba's compiler information but an ideal
 // ROB: any completed instruction whose governing branch instance has
-// resolved may retire, with no queue or table capacity limits.
+// resolved may retire, with no queue or table capacity limits. Condition 2
+// still holds: a possibly-trapping older access blocks commit.
 type idealReconvPolicy struct{ basePolicy }
 
 func (idealReconvPolicy) commit(c *Core, cycle int64, width int) int {
-	memBoundary := c.memTrapBoundary(cycle)
-	residentCut := c.residentCutoff(memBoundary)
-	n, i := 0, 0
-	for i < len(c.candQ) && n < width {
-		e := c.candQ[i]
-		if e.dispatchOrder > residentCut || e.Seq() >= memBoundary {
-			break // Condition 2: a possibly-trapping older access blocks commit
-		}
-		if c.eligible(e, cycle, true, false) && depSatisfied(c, e) {
-			if c.commitStep(e) {
-				i++
-			}
-			n++
-		} else {
-			i++
-		}
-	}
-	return n
+	return c.commitCandidates(cycle, width, c.memTrapBoundary(cycle), true, false, true)
 }
 
 // depSatisfied checks the compiler-dependence commit condition shared by
 // the ideal-reconvergence policy: the instruction's governing branch
 // instance has resolved, DepOrdered instructions wait for all older
 // branches, and unmarked unresolved branches serialise everything younger.
-// Every clause reads an eagerly-maintained list, so the check is O(log n).
+// Every clause reads an eagerly-maintained set, so the check is O(1).
 func depSatisfied(c *Core, e *Entry) bool {
 	// An unmarked (no setBranchId) unresolved conditional branch blocks
 	// all younger instructions: the compiler gave no information about
 	// its dependents.
-	if len(c.unmarkedUnresolved) > 0 && c.unmarkedUnresolved[0].Seq() < e.Seq() {
+	if b := c.unmarkedUnresolved.first(); b != nil && b.seq < e.seq {
 		return false
 	}
 	switch {
@@ -192,24 +190,7 @@ func (e *Entry) mispredictPending() bool { return e.mispredicted && !e.resolved 
 type specBRPolicy struct{ basePolicy }
 
 func (specBRPolicy) commit(c *Core, cycle int64, width int) int {
-	memBoundary := c.memTrapBoundary(cycle)
-	residentCut := c.residentCutoff(memBoundary)
-	n, i := 0, 0
-	for i < len(c.candQ) && n < width {
-		e := c.candQ[i]
-		if e.dispatchOrder > residentCut || e.Seq() >= memBoundary {
-			break // Condition 2: a possibly-trapping older access blocks commit
-		}
-		if c.eligible(e, cycle, true, false) {
-			if c.commitStep(e) {
-				i++
-			}
-			n++
-		} else {
-			i++
-		}
-	}
-	return n
+	return c.commitCandidates(cycle, width, c.memTrapBoundary(cycle), true, false, false)
 }
 
 // specPolicy is Figure 1's fully speculative oracle: completed instructions
@@ -217,17 +198,5 @@ func (specBRPolicy) commit(c *Core, cycle int64, width int) int {
 type specPolicy struct{ basePolicy }
 
 func (specPolicy) commit(c *Core, cycle int64, width int) int {
-	n, i := 0, 0
-	for i < len(c.candQ) && n < width {
-		e := c.candQ[i]
-		if c.eligible(e, cycle, false, false) {
-			if c.commitStep(e) {
-				i++
-			}
-			n++
-		} else {
-			i++
-		}
-	}
-	return n
+	return c.commitCandidates(cycle, width, noBoundary, false, false, false)
 }

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+
 	"github.com/noreba-sim/noreba/internal/sanity"
 )
 
@@ -39,6 +41,9 @@ import (
 type sanitizer struct {
 	lastFrontier    int
 	lastMemFrontier int
+
+	// Scratch for the branch sets' contents, reused across cycles.
+	live, unres, unmarked []*Entry
 }
 
 func newSanitizer(c *Core) *sanitizer { return &sanitizer{} }
@@ -85,23 +90,23 @@ func (s *sanitizer) onCommit(c *Core, e *Entry) {
 
 	// In-order baseline: strictly in program order, i.e. always at the
 	// commit frontier.
-	if pol == InOrder && e.idx != c.frontierIdx {
+	if pol == InOrder && e.idx != c.win.frontier {
 		c.fail(sanity.At("commit/in-order", cyc, e.pc, e.Seq(),
-			"InO-C retiring trace index %d but frontier is %d", e.idx, c.frontierIdx))
+			"InO-C retiring trace index %d but frontier is %d", e.idx, c.win.frontier))
 	}
 
 	// §4.5: synchronisation barriers commit strictly in order under every
 	// policy.
-	if e.isFence && e.idx != c.frontierIdx {
+	if e.isFence() && e.idx != c.win.frontier {
 		c.fail(sanity.At("commit/fence-order", cyc, e.pc, e.Seq(),
-			"fence retiring at index %d ahead of frontier %d", e.idx, c.frontierIdx))
+			"fence retiring at index %d ahead of frontier %d", e.idx, c.win.frontier))
 	}
 
 	// Program-order memory retirement (every design but the full
 	// speculative oracle).
-	if pol != Spec && e.isMem && e.idx != c.memFrontierIdx {
+	if pol != Spec && e.isMem() && e.idx != c.win.memFrontier {
 		c.fail(sanity.At("commit/mem-order", cyc, e.pc, e.Seq(),
-			"memory op retiring at index %d ahead of memory frontier %d", e.idx, c.memFrontierIdx))
+			"memory op retiring at index %d ahead of memory frontier %d", e.idx, c.win.memFrontier))
 	}
 
 	// Completion conditions. The traditional designs require Condition 1
@@ -123,7 +128,7 @@ func (s *sanitizer) onCommit(c *Core, e *Entry) {
 			c.fail(sanity.At("commit/store-data", cyc, e.pc, e.Seq(),
 				"store retiring before its data is ready"))
 		}
-	case e.isCondBranch || e.isJalr:
+	case e.isCondBranch() || e.isJalr():
 		if !e.resolved {
 			c.fail(sanity.At("commit/branch-unresolved", cyc, e.pc, e.Seq(),
 				"control transfer retiring before it resolved"))
@@ -155,7 +160,7 @@ func (s *sanitizer) onCommit(c *Core, e *Entry) {
 		if t.Seq() >= e.Seq() {
 			break // dispatch order == age order among live entries
 		}
-		if !t.isCondBranch || t.resolved {
+		if !t.isCondBranch() || t.resolved {
 			continue
 		}
 		b := t
@@ -190,7 +195,7 @@ func (s *sanitizer) onCommit(c *Core, e *Entry) {
 		if !c.win.isCommitted(idx) {
 			var b *Entry
 			for t := c.robHead; t != nil; t = t.robNext {
-				if t.isCondBranch && t.Seq() == e.dep.DepSeq {
+				if t.isCondBranch() && t.Seq() == e.dep.DepSeq {
 					b = t
 					break
 				}
@@ -212,26 +217,72 @@ func (s *sanitizer) endCycle(c *Core) {
 	cyc := c.cycle - 1 // Step increments before this hook runs
 
 	// Commit frontiers only move forward.
-	if c.frontierIdx < s.lastFrontier {
+	if c.win.frontier < s.lastFrontier {
 		c.fail(sanity.Errorf("frontier/monotonic", cyc,
-			"commit frontier moved backwards: %d -> %d", s.lastFrontier, c.frontierIdx))
+			"commit frontier moved backwards: %d -> %d", s.lastFrontier, c.win.frontier))
 		return
 	}
-	if c.memFrontierIdx < s.lastMemFrontier {
+	if c.win.memFrontier < s.lastMemFrontier {
 		c.fail(sanity.Errorf("frontier/mem-monotonic", cyc,
-			"memory frontier moved backwards: %d -> %d", s.lastMemFrontier, c.memFrontierIdx))
+			"memory frontier moved backwards: %d -> %d", s.lastMemFrontier, c.win.memFrontier))
 		return
 	}
-	s.lastFrontier, s.lastMemFrontier = c.frontierIdx, c.memFrontierIdx
+	s.lastFrontier, s.lastMemFrontier = c.win.frontier, c.win.memFrontier
+
+	// Both frontiers sit at their fixpoint: re-walk the resident window
+	// from its base (everything below it is committed) record by record.
+	frontier, memFrontier := -1, -1
+	for i := c.win.baseIdx(); i < c.win.loadedEnd() && memFrontier < 0; i++ {
+		r := c.win.rec(i)
+		if r.committed {
+			continue
+		}
+		if frontier < 0 {
+			frontier = i
+		}
+		if r.isMem() || r.isFence() {
+			memFrontier = i
+		}
+	}
+	if frontier < 0 {
+		frontier = c.win.loadedEnd()
+	}
+	if memFrontier < 0 {
+		memFrontier = c.win.loadedEnd()
+	}
+	if frontier != c.win.frontier || memFrontier != c.win.memFrontier {
+		c.fail(sanity.Errorf("frontier/fixpoint", cyc,
+			"frontiers %d / mem %d but the window re-walk finds %d / mem %d",
+			c.win.frontier, c.win.memFrontier, frontier, memFrontier))
+		return
+	}
 
 	// Sliding-window release safety: no record may be dropped before both
 	// the commit frontier and the fetch cursor have passed it (a released
 	// record can never be re-addressed).
-	if base := c.win.baseIdx(); base > c.frontierIdx || base > c.cursor {
+	if base := c.win.baseIdx(); base > c.win.frontier || base > c.cursor {
 		c.fail(sanity.Errorf("window/release", cyc,
-			"window released through %d past frontier %d / cursor %d", base, c.frontierIdx, c.cursor))
+			"window released through %d past frontier %d / cursor %d", base, c.win.frontier, c.cursor))
 		return
 	}
+
+	// The ordered sets' contents are re-derived every cycle: the branch
+	// sets element for element against a ROB-order walk below, the ready
+	// and candidate sets by membership and count. Their ring storage is
+	// re-derived on the same 16-cycle stride as the arena cross-check (a
+	// corrupted ring stays corrupted, so the stride loses no coverage).
+	if cyc&15 == 0 {
+		for i, set := range [...]*entrySet{&c.readyQ, &c.candQ, &c.liveBranches, &c.unresolvedBranches, &c.unmarkedUnresolved} {
+			if msg := set.check(); msg != "" {
+				c.fail(sanity.Errorf("sched/set-storage", cyc, "%s set: %s",
+					[...]string{"ready", "candidate", "live-branch", "unresolved-branch", "unmarked-unresolved"}[i], msg))
+				return
+			}
+		}
+	}
+	s.live = c.liveBranches.appendTo(s.live[:0])
+	s.unres = c.unresolvedBranches.appendTo(s.unres[:0])
+	s.unmarked = c.unmarkedUnresolved.appendTo(s.unmarked[:0])
 
 	// One walk over the ROB list: ordering, occupancy recount, and the
 	// from-scratch re-derivation of every scheduler structure.
@@ -299,7 +350,7 @@ func (s *sanitizer) endCycle(c *Core) {
 		if !e.issued {
 			iqOcc++
 		}
-		if e.hasDest && !e.committed {
+		if e.hasDest() && !e.committed {
 			physUsed++
 		}
 		if e.class == opLoad && (!e.committed || e.lqHeld) {
@@ -327,6 +378,11 @@ func (s *sanitizer) endCycle(c *Core) {
 		}
 		if e.inReady {
 			nReady++
+			if c.readyQ.get(e.dispatchOrder) != e {
+				c.fail(sanity.At("sched/ready-membership", cyc, e.pc, e.Seq(),
+					"inReady entry missing from the ready set at dispatch order %d", e.dispatchOrder))
+				return
+			}
 		}
 
 		// Commit-candidate membership: derived from the entry's class and
@@ -336,9 +392,9 @@ func (s *sanitizer) endCycle(c *Core) {
 			switch c.candMode {
 			case candRelaxed:
 				switch {
-				case e.isCondBranch || e.isJalr:
+				case e.isCondBranch() || e.isJalr():
 					wantCand = e.resolved
-				case e.isMem:
+				case e.isMem():
 					wantCand = e.issued
 				default:
 					wantCand = true
@@ -355,6 +411,11 @@ func (s *sanitizer) endCycle(c *Core) {
 		}
 		if e.inCand {
 			nCand++
+			if c.candQ.get(e.dispatchOrder) != e {
+				c.fail(sanity.At("sched/cand-membership", cyc, e.pc, e.Seq(),
+					"inCand entry missing from the candidate set at dispatch order %d", e.dispatchOrder))
+				return
+			}
 		}
 
 		// Committed residents: exactly the committed entries still on the
@@ -373,25 +434,26 @@ func (s *sanitizer) endCycle(c *Core) {
 			}
 		}
 
-		// Branch lists: walked in ROB order, they must match the maintained
-		// lists element for element (committed branches drain immediately —
-		// resolution is completion — so every listed branch is live).
-		if e.isCondBranch && !e.committed {
-			if liveBr >= len(c.liveBranches) || c.liveBranches[liveBr] != e {
+		// Branch sets: walked in ROB order, they must match the maintained
+		// sets' key order element for element (committed branches drain
+		// immediately — resolution is completion — so every listed branch
+		// is live).
+		if e.isCondBranch() && !e.committed {
+			if liveBr >= len(s.live) || s.live[liveBr] != e {
 				c.fail(sanity.At("sched/live-branches", cyc, e.pc, e.Seq(),
 					"live-branch list diverges from the ROB at position %d", liveBr))
 				return
 			}
 			liveBr++
 			if !e.resolved {
-				if unresBr >= len(c.unresolvedBranches) || c.unresolvedBranches[unresBr] != e {
+				if unresBr >= len(s.unres) || s.unres[unresBr] != e {
 					c.fail(sanity.At("sched/unresolved-branches", cyc, e.pc, e.Seq(),
 						"unresolved-branch list diverges from the ROB at position %d", unresBr))
 					return
 				}
 				unresBr++
 				if c.needUnmarked && e.dep.BranchID == 0 {
-					if unmarked >= len(c.unmarkedUnresolved) || c.unmarkedUnresolved[unmarked] != e {
+					if unmarked >= len(s.unmarked) || s.unmarked[unmarked] != e {
 						c.fail(sanity.At("sched/unmarked-unresolved", cyc, e.pc, e.Seq(),
 							"unmarked-unresolved list diverges from the ROB at position %d", unmarked))
 						return
@@ -405,58 +467,45 @@ func (s *sanitizer) endCycle(c *Core) {
 	case robCount != c.robCount:
 		c.fail(sanity.Errorf("rob/count", cyc, "robCount=%d but the list holds %d entries", c.robCount, robCount))
 		return
-	case liveBr != len(c.liveBranches):
+	case liveBr != len(s.live):
 		c.fail(sanity.Errorf("sched/live-branches", cyc,
-			"live-branch list holds %d entries but the ROB has %d live branches", len(c.liveBranches), liveBr))
+			"live-branch set holds %d entries but the ROB has %d live branches", len(s.live), liveBr))
 		return
-	case unresBr != len(c.unresolvedBranches):
+	case unresBr != len(s.unres):
 		c.fail(sanity.Errorf("sched/unresolved-branches", cyc,
-			"unresolved-branch list holds %d entries but the ROB has %d", len(c.unresolvedBranches), unresBr))
+			"unresolved-branch set holds %d entries but the ROB has %d", len(s.unres), unresBr))
 		return
-	case c.needUnmarked && unmarked != len(c.unmarkedUnresolved):
+	case unmarked != len(s.unmarked):
 		c.fail(sanity.Errorf("sched/unmarked-unresolved", cyc,
-			"unmarked-unresolved list holds %d entries but the ROB has %d", len(c.unmarkedUnresolved), unmarked))
+			"unmarked-unresolved set holds %d entries but the ROB has %d", len(s.unmarked), unmarked))
 		return
-	case nReady != len(c.readyQ):
+	case nReady != c.readyQ.len():
 		c.fail(sanity.Errorf("sched/ready-count", cyc,
-			"ready queue holds %d entries but %d ROB entries are ready", len(c.readyQ), nReady))
+			"ready set holds %d entries but %d ROB entries are ready", c.readyQ.len(), nReady))
 		return
-	case nCand != len(c.candQ):
+	case nCand != c.candQ.len():
 		c.fail(sanity.Errorf("sched/cand-count", cyc,
-			"candidate queue holds %d entries but %d ROB entries are candidates", len(c.candQ), nCand))
+			"candidate set holds %d entries but %d ROB entries are candidates", c.candQ.len(), nCand))
 		return
 	case nResident != len(c.committedResidents):
 		c.fail(sanity.Errorf("sched/resident-count", cyc,
 			"resident list holds %d entries but %d committed entries are on the ROB", len(c.committedResidents), nResident))
 		return
 	}
-	for i := 1; i < len(c.readyQ); i++ {
-		if c.readyQ[i-1].dispatchOrder >= c.readyQ[i].dispatchOrder {
-			c.fail(sanity.Errorf("sched/ready-order", cyc, "ready queue out of dispatch order at %d", i))
-			return
-		}
-	}
-	for i := 1; i < len(c.candQ); i++ {
-		if c.candQ[i-1].dispatchOrder >= c.candQ[i].dispatchOrder {
-			c.fail(sanity.Errorf("sched/cand-order", cyc, "candidate queue out of dispatch order at %d", i))
-			return
-		}
-	}
-
 	// Boundary deques vs a from-scratch scan. Pruning the deques here is
 	// harmless: blocking is monotone, so anything prunable at cyc stays
 	// prunable.
 	if c.needBlockers {
-		want := int64(1) << 62
+		want := noBoundary
 		for e := c.robHead; e != nil; e = e.robNext {
 			if e.committed {
 				continue
 			}
-			if (e.isCondBranch || e.isJalr) && !e.resolved {
+			if (e.isCondBranch() || e.isJalr()) && !e.resolved {
 				want = e.Seq()
 				break
 			}
-			if e.isMem && !(e.issued && e.addrReadyAt <= cyc) {
+			if e.isMem() && !(e.issued && e.addrReadyAt <= cyc) {
 				want = e.Seq()
 				break
 			}
@@ -468,12 +517,12 @@ func (s *sanitizer) endCycle(c *Core) {
 		}
 	}
 	if c.needTransMem {
-		want := int64(1) << 62
+		want := noBoundary
 		for e := c.robHead; e != nil; e = e.robNext {
 			if e.committed {
 				continue
 			}
-			if e.isMem && !(e.issued && e.addrReadyAt <= cyc) {
+			if e.isMem() && !(e.issued && e.addrReadyAt <= cyc) {
 				want = e.Seq()
 				break
 			}
@@ -550,4 +599,35 @@ func (s *sanitizer) endCycle(c *Core) {
 			c.fail(err)
 		}
 	}
+}
+
+// check re-derives an ordered set's bookkeeping from its raw storage: the
+// bitmap marks exactly the occupied slots, the member count matches, the
+// key span fits the ring, and every occupied slot maps back to a key inside
+// [lo, hi). It returns a description of the first broken invariant, or "".
+func (s *entrySet) check() string {
+	if s.hi-s.lo > int64(len(s.slots)) {
+		return fmt.Sprintf("key span [%d,%d) wider than the %d-slot ring", s.lo, s.hi, len(s.slots))
+	}
+	n := 0
+	for i, e := range s.slots {
+		bit := s.bits[i>>6]>>(i&63)&1 == 1
+		if bit != (e != nil) {
+			return fmt.Sprintf("slot %d occupied=%t but bitmap says %t", i, e != nil, bit)
+		}
+		if e != nil {
+			n++
+		}
+	}
+	if n != s.n {
+		return fmt.Sprintf("count %d but %d occupied slots", s.n, n)
+	}
+	found := 0
+	for j, ok := s.scan(s.lo); ok; j, ok = s.scan(j + 1) {
+		found++
+	}
+	if found != n {
+		return fmt.Sprintf("%d occupied slots but only %d lie in the key span [%d,%d)", n, found, s.lo, s.hi)
+	}
+	return ""
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/noreba-sim/noreba/internal/emulator"
 	"github.com/noreba-sim/noreba/internal/sanity"
 	"github.com/noreba-sim/noreba/internal/trace"
+	"github.com/noreba-sim/noreba/internal/workgen"
 )
 
 var allPolicies = []PolicyKind{InOrder, NonSpecOoO, Noreba, IdealReconv, SpecBR, Spec}
@@ -125,7 +127,7 @@ func TestSanitizerCatchesFrontierRegression(t *testing.T) {
 	tr, meta := buildTrace(t, mlpKernel(16), true)
 	c := NewCore(sanConfig(InOrder), tr, meta)
 	stepUntilInFlight(t, c, 4)
-	c.san.lastFrontier = c.frontierIdx + 1000
+	c.san.lastFrontier = c.win.frontier + 1000
 	c.Step()
 	assertViolation(t, c.SanityErr(), "frontier/monotonic")
 }
@@ -258,6 +260,55 @@ func TestTraceDisabledMatchesEnabled(t *testing.T) {
 		if st.Cycles != base.Cycles {
 			t.Fatalf("%s: %d cycles with observability on, %d off — observers must not perturb timing",
 				pk, st.Cycles, base.Cycles)
+		}
+	}
+}
+
+// TestSanitizeMatchesPlainStats is the broad observer differential: over
+// generated programs × every policy × three core sizes, with FreeSetup
+// alternating by program, a sanitized run — whose checker re-derives the
+// frontiers, the ordered scheduler sets and every other incremental
+// structure from scratch each cycle — must run clean and produce Stats
+// deep-equal to a plain run's, BranchStalls included. Observation may never
+// perturb the model, and the incremental bookkeeping may never disagree
+// with its from-scratch derivation.
+func TestSanitizeMatchesPlainStats(t *testing.T) {
+	cores := []func() Config{SkylakeConfig, HaswellConfig, NehalemConfig}
+	for i, p := range workgen.Seeds(20) {
+		prog, _, err := workgen.Generate(p)
+		if err != nil {
+			t.Fatalf("%s: generate: %v", p.Name(), err)
+		}
+		res, err := compiler.Compile(prog, compiler.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: compile: %v", p.Name(), err)
+		}
+		// A 1k-instruction prefix keeps the 360 sanitized runs to about
+		// three minutes under the race detector. It still exercises the
+		// paths the incremental state must survive: over the twenty
+		// programs the six policies on the Skylake core see about 2.4k
+		// mispredict recoveries, 27k out-of-order commits and 20k CIT
+		// drops.
+		tr, err := emulator.New(res.Image).Run(1 << 10)
+		if err != nil {
+			t.Fatalf("%s: emulate: %v", p.Name(), err)
+		}
+		for _, core := range cores {
+			for _, pk := range allPolicies {
+				cfg := core()
+				cfg.Policy = pk
+				cfg.FreeSetup = i%2 == 1
+				plain := runPolicy(t, cfg, tr, res.Meta)
+				cfg.Sanitize = true
+				san, err := NewCore(cfg, tr, res.Meta).Run()
+				if err != nil {
+					t.Fatalf("%s on %s under %s: %v", p.Name(), cfg.Name, pk, err)
+				}
+				if !reflect.DeepEqual(plain, san) {
+					t.Errorf("%s on %s under %s: sanitized Stats differ from the plain run's:\nplain:     %+v\nsanitized: %+v",
+						p.Name(), cfg.Name, pk, *plain, *san)
+				}
+			}
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package pipeline
 
+import mathbits "math/bits"
+
 // This file holds the event-driven scheduler's support structures: the
 // completion wheel, generation-tagged entry references, the pooled entry
-// allocator, and the small ordered containers (ready queue, commit-candidate
-// queue, blocker deques) that replace the per-cycle O(ROB) scans the core
-// and the commit policies used to perform.
+// allocator, and the small ordered containers (the ready, commit-candidate
+// and branch sets, the blocker deques) that replace the per-cycle O(ROB)
+// scans the core and the commit policies used to perform.
 //
 // Reference safety: entries are pooled and recycled the moment they drain
 // from the pipeline, so any container that can hold a reference across an
@@ -13,8 +15,8 @@ package pipeline
 // longer matches is stale: the instruction it referred to left the pipeline
 // (committed and completed, or was squashed and reclaimed), which in every
 // use site below means "no longer relevant — skip". Containers that are
-// eagerly purged before recycling (the ROB list, the ready and candidate
-// queues, the branch lists) hold plain pointers.
+// eagerly purged before recycling (the ROB list, the ready, candidate and
+// branch sets) hold plain pointers.
 
 // entryRef is a generation-tagged entry reference.
 type entryRef struct {
@@ -149,70 +151,173 @@ func (w *complWheel) grow(now, until int64) {
 	w.buckets, w.mask = fresh, size-1
 }
 
-// ---- ordered entry queues ----
+// ---- ordered entry sets ----
 
-// insertByDispatch inserts e into q, which is kept sorted by dispatch order
-// (the order the old code scanned the ROB slice in). Entries inserted at
-// dispatch time append in O(1); event-driven insertions (wakeup, completion,
-// resolution) binary-search their slot.
-func insertByDispatch(q []*Entry, e *Entry) []*Entry {
-	n := len(q)
-	if n == 0 || q[n-1].dispatchOrder < e.dispatchOrder {
-		return append(q, e)
-	}
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if q[mid].dispatchOrder < e.dispatchOrder {
-			lo = mid + 1
-		} else {
-			hi = mid
+// entrySet is a set of entries kept in key order, where keys are distinct
+// non-negative integers that mostly arrive in increasing order: dispatch
+// order for the ready and commit-candidate sets, trace index (= Seq) for
+// the branch sets. Members' keys lie in a sliding span [lo, hi) no wider
+// than the ring: the member with key k sits in slot k&mask and a bitmap
+// marks occupied slots, so insert, remove and lookup are O(1) with no
+// element motion, and an ordered walk skips 64 empty keys per bitmap word
+// with TrailingZeros64. An insert that would widen the span past the ring
+// first tightens [lo, hi) to the actual members, then doubles the ring.
+type entrySet struct {
+	slots  []*Entry
+	bits   []uint64
+	mask   int64
+	lo, hi int64 // every member's key is in [lo, hi)
+	n      int
+}
+
+// cleared returns the set emptied, keeping its storage.
+func (s entrySet) cleared() entrySet {
+	clear(s.slots)
+	clear(s.bits)
+	return entrySet{slots: s.slots, bits: s.bits, mask: s.mask}
+}
+
+func (s *entrySet) len() int { return s.n }
+
+// insert adds e under key k, which must not already be present.
+func (s *entrySet) insert(k int64, e *Entry) {
+	lo, hi := k, k+1
+	if s.n > 0 {
+		lo, hi = min(s.lo, k), max(s.hi, k+1)
+		if hi-lo > int64(len(s.slots)) {
+			s.tighten()
+			lo, hi = min(s.lo, k), max(s.hi, k+1)
 		}
 	}
-	q = append(q, nil)
-	copy(q[lo+1:], q[lo:])
-	q[lo] = e
-	return q
-}
-
-// removeAt removes index i from q preserving order.
-func removeAt(q []*Entry, i int) []*Entry {
-	copy(q[i:], q[i+1:])
-	q[len(q)-1] = nil
-	return q[:len(q)-1]
-}
-
-// removeBySeq removes the entry with sequence number seq from a seq-sorted
-// queue, if present.
-func removeBySeq(q []*Entry, seq int64) []*Entry {
-	if i := searchSeq(q, seq); i < len(q) && q[i].Seq() == seq {
-		return removeAt(q, i)
+	if hi-lo > int64(len(s.slots)) {
+		s.grow(hi - lo)
 	}
-	return q
+	s.lo, s.hi = lo, hi
+	i := k & s.mask
+	s.slots[i] = e
+	s.bits[i>>6] |= 1 << (i & 63)
+	s.n++
 }
 
-// searchSeq returns the first index whose entry has Seq() >= seq.
-func searchSeq(q []*Entry, seq int64) int {
-	lo, hi := 0, len(q)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if q[mid].Seq() < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
+// remove drops the member with key k, if any.
+func (s *entrySet) remove(k int64) {
+	if s.get(k) == nil {
+		return
+	}
+	s.clearSlot(k)
+}
+
+// get returns the member with key k, or nil.
+func (s *entrySet) get(k int64) *Entry {
+	if k < s.lo || k >= s.hi {
+		return nil
+	}
+	return s.slots[k&s.mask]
+}
+
+// first returns the member with the smallest key, or nil.
+func (s *entrySet) first() *Entry {
+	if s.n == 0 {
+		return nil
+	}
+	if e := s.slots[s.lo&s.mask]; e != nil {
+		return e // lo always holds the minimum once a member sits there
+	}
+	k, ok := s.scan(s.lo)
+	if !ok {
+		return nil
+	}
+	s.lo = k
+	return s.slots[k&s.mask]
+}
+
+// after returns the member with the smallest key above k, or nil. Walks
+// tolerate removal of the member they stand on: the next step is keyed, not
+// positional.
+func (s *entrySet) after(k int64) *Entry {
+	if s.n == 0 {
+		return nil
+	}
+	if k < s.lo {
+		k = s.lo - 1
+	}
+	if k, ok := s.scan(k + 1); ok {
+		return s.slots[k&s.mask]
+	}
+	return nil
+}
+
+// scan returns the smallest member key in [from, hi).
+func (s *entrySet) scan(from int64) (int64, bool) {
+	for k := from; k < s.hi; {
+		i := k & s.mask
+		if w := s.bits[i>>6] >> (i & 63); w != 0 {
+			k += int64(mathbits.TrailingZeros64(w))
+			return k, k < s.hi
+		}
+		k += 64 - i&63
+	}
+	return 0, false
+}
+
+// clearSlot empties the occupied slot of key k.
+func (s *entrySet) clearSlot(k int64) {
+	i := k & s.mask
+	s.slots[i] = nil
+	s.bits[i>>6] &^= 1 << (i & 63)
+	s.n--
+}
+
+// truncateAbove drops every member with key above k (the squash pattern:
+// everything younger than the recovering branch).
+func (s *entrySet) truncateAbove(k int64) {
+	for j, ok := s.scan(max(k+1, s.lo)); ok; j, ok = s.scan(j + 1) {
+		s.clearSlot(j)
+	}
+	s.hi = max(min(s.hi, k+1), s.lo)
+}
+
+// purgeSquashed drops every squashed member.
+func (s *entrySet) purgeSquashed() {
+	for j, ok := s.scan(s.lo); ok; j, ok = s.scan(j + 1) {
+		if s.slots[j&s.mask].squashed {
+			s.clearSlot(j)
 		}
 	}
-	return lo
 }
 
-// truncateYounger drops every entry with Seq() > seq from a seq-sorted
-// queue (the squash pattern: everything younger than the recovering branch).
-func truncateYounger(q []*Entry, seq int64) []*Entry {
-	i := searchSeq(q, seq+1)
-	for j := i; j < len(q); j++ {
-		q[j] = nil
+// appendTo appends the members to buf in key order.
+func (s *entrySet) appendTo(buf []*Entry) []*Entry {
+	for j, ok := s.scan(s.lo); ok; j, ok = s.scan(j + 1) {
+		buf = append(buf, s.slots[j&s.mask])
 	}
-	return q[:i]
+	return buf
+}
+
+// tighten shrinks [lo, hi) to the span the (at least one) members occupy.
+func (s *entrySet) tighten() {
+	first, _ := s.scan(s.lo)
+	last := first
+	for j, ok := s.scan(first + 1); ok; j, ok = s.scan(j + 1) {
+		last = j
+	}
+	s.lo, s.hi = first, last+1
+}
+
+// grow rebuilds the ring with room for a key span of at least span,
+// rehashing every member.
+func (s *entrySet) grow(span int64) {
+	size := int64(64)
+	for size < span {
+		size <<= 1
+	}
+	slots, bits := make([]*Entry, size), make([]uint64, size/64)
+	for j, ok := s.scan(s.lo); ok; j, ok = s.scan(j + 1) {
+		i := j & (size - 1)
+		slots[i] = s.slots[j&s.mask]
+		bits[i>>6] |= 1 << (i & 63)
+	}
+	s.slots, s.bits, s.mask = slots, bits, size-1
 }
 
 // purgeSquashed removes squashed entries from q in place, preserving order.

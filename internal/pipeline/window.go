@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/noreba-sim/noreba/internal/emulator"
+	"github.com/noreba-sim/noreba/internal/isa"
 )
 
 // instRecord is the window's per-dynamic-instruction state: the instruction
@@ -15,12 +16,12 @@ type instRecord struct {
 	d   emulator.DynInst
 	dep DepInfo
 
+	// The instruction's decode, computed once at load: fetch and dispatch
+	// read it instead of re-running the isa switches on every (re)fetch.
+	decoded
+
 	committed bool
 	fetched   bool
-	// memOrFence caches Op.IsMem()||Op.IsFence() at load: the memory
-	// frontier re-tests the same blocking record every commit step, and the
-	// cached bit turns two Op-class switches into one flag load.
-	memOrFence bool
 	// Branch-prediction bookkeeping: each dynamic branch is predicted and
 	// trained exactly once (its first fetch); a re-fetch after its own
 	// recovery is correctly predicted (the predictor was fixed at resolve),
@@ -29,6 +30,61 @@ type instRecord struct {
 	predicted bool
 	predMisp  bool
 	recovered bool
+}
+
+// opDecode is the part of a record's decode that depends on the opcode
+// alone, tabulated once per opcode so loading a record costs one table
+// lookup instead of a run of isa switches.
+type opDecode struct {
+	decoded            // decHasDest here means "writes rd when rd is not X0"
+	readsRs1, readsRs2 bool
+}
+
+var opDecodes = func() (t [256]opDecode) {
+	for i := range t {
+		op := isa.Op(i)
+		probe := isa.Inst{Op: op, Rd: 1, Rs1: 1, Rs2: 2}
+		var f decFlags
+		for _, b := range []struct {
+			on bool
+			f  decFlags
+		}{
+			{op.IsCondBranch(), decCondBranch}, {op == isa.OpJalr, decJalr}, {op.IsMem(), decMem},
+			{op.IsFence(), decFence}, {probe.HasDest(), decHasDest}, {op.IsSetup(), decSetup},
+		} {
+			if b.on {
+				f |= b.f
+			}
+		}
+		r1, r2 := probe.SourceRegs()
+		t[i] = opDecode{decoded: decoded{class: classOf(op), flags: f}, readsRs1: r1 == probe.Rs1, readsRs2: r2 == probe.Rs2}
+	}
+	return t
+}()
+
+// decode caches the record's instruction decode.
+func (r *instRecord) decode() {
+	in := &r.d.Inst
+	r.decoded = opDecodes[in.Op].decoded
+	if in.Rd == isa.X0 {
+		r.flags &^= decHasDest
+	} else if in.Rd == isa.RA && in.Op == isa.OpJal {
+		r.flags |= decCall
+	}
+}
+
+// sources returns the record's source registers, X0 standing in for "no
+// operand".
+func (r *instRecord) sources() (isa.Reg, isa.Reg) {
+	t := &opDecodes[r.d.Inst.Op]
+	s1, s2 := isa.X0, isa.X0
+	if t.readsRs1 {
+		s1 = r.d.Inst.Rs1
+	}
+	if t.readsRs2 {
+		s2 = r.d.Inst.Rs2
+	}
+	return s1, s2
 }
 
 // Window records are stored in fixed-size chunks so a record's address never
@@ -70,6 +126,16 @@ type window struct {
 	base int // lowest resident trace index
 	end  int // one past the highest loaded trace index
 	eof  bool
+
+	// The retirement frontiers, kept at their fixpoint at every event that
+	// can move them (see commit and fill) instead of re-walked when read.
+	// frontier is the smallest uncommitted trace index, memFrontier the
+	// smallest uncommitted memory-or-fence trace index; both stop at the
+	// loaded end, which is uncommitted by definition, and no in-flight
+	// entry lies beyond it, so stopping there never changes an eligibility
+	// comparison.
+	frontier    int
+	memFrontier int
 
 	peak int // high-water mark of live records
 }
@@ -153,13 +219,18 @@ func (w *window) fill(idx int) bool {
 				r.d = d
 			}
 			r.dep = w.deps.next(&r.d)
-			op := r.d.Inst.Op
-			r.memOrFence = op.IsMem() || op.IsFence()
+			r.decode()
 			r.committed = false
 			r.fetched = false
 			r.predicted = false
 			r.predMisp = false
 			r.recovered = false
+			// A memory frontier parked at the loaded end moves past each
+			// newly loaded non-memory record; the commit frontier stays put
+			// (the new record is uncommitted).
+			if w.memFrontier == w.end && !r.isMem() && !r.isFence() {
+				w.memFrontier++
+			}
 			w.end++
 		}
 	}
@@ -215,14 +286,22 @@ func (w *window) rec(idx int) *instRecord {
 	return &w.chunks[w.chead+(idx>>chunkShift)-w.chunkBase][idx&chunkMask]
 }
 
+// commit marks the loaded record r at trace index idx committed and moves
+// each frontier that sat on it to the next record that still blocks it.
+func (w *window) commit(r *instRecord, idx int) {
+	r.committed = true
+	if idx == w.frontier {
+		w.frontier = w.advanceCommitted(idx + 1)
+	}
+	if idx == w.memFrontier {
+		w.memFrontier = w.advanceMemFrontier(idx + 1)
+	}
+}
+
 // advanceCommitted returns the first loaded index at or after idx whose
 // record is not yet committed (or the loaded end). The walk resolves the
-// chunk directory once per chunk crossing instead of once per record, which
-// matters because the frontiers are re-walked every commit step.
+// chunk directory once per chunk crossing instead of once per record.
 func (w *window) advanceCommitted(idx int) int {
-	if idx < w.base {
-		panic(fmt.Sprintf("pipeline: frontier walk at %d below base %d", idx, w.base))
-	}
 	for idx < w.end {
 		ch := w.chunks[w.chead+(idx>>chunkShift)-w.chunkBase]
 		hi := (idx | chunkMask) + 1
@@ -242,9 +321,6 @@ func (w *window) advanceCommitted(idx int) int {
 // an uncommitted memory or fence operation (or the loaded end), with the
 // same chunk-wise walk as advanceCommitted.
 func (w *window) advanceMemFrontier(idx int) int {
-	if idx < w.base {
-		panic(fmt.Sprintf("pipeline: mem-frontier walk at %d below base %d", idx, w.base))
-	}
 	for idx < w.end {
 		ch := w.chunks[w.chead+(idx>>chunkShift)-w.chunkBase]
 		hi := (idx | chunkMask) + 1
@@ -253,7 +329,7 @@ func (w *window) advanceMemFrontier(idx int) int {
 		}
 		for ; idx < hi; idx++ {
 			r := &ch[idx&chunkMask]
-			if r.memOrFence && !r.committed {
+			if (r.isMem() || r.isFence()) && !r.committed {
 				return idx
 			}
 		}

@@ -188,3 +188,37 @@ func TestWarmEstimateAllocs(t *testing.T) {
 	}
 	t.Logf("%d windows: %.0f allocations per estimate", len(pl.Reps), n)
 }
+
+// BenchmarkWarmReplay times one quick-suite plan's nested warm replay: the
+// functional-warming pass buildWarmStates runs once per cache and predictor
+// geometry before a loaded plan's first estimate, capturing every
+// representative's warm state on the way. It is the sampled path's
+// functional layer — caches, prefetcher, TAGE and the return-address stack
+// driven at emulator speed — and reports its cost per replayed instruction.
+func BenchmarkWarmReplay(b *testing.B) {
+	// dijkstra has the quick suite's longest warm prefix (~104k
+	// instructions at the quick runner's scale).
+	res := compileWorkload(b, "dijkstra", 2)
+	pl, err := BuildPlan(res.Image, res.Meta, 1<<20, Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if pl.Full || len(pl.Reps) == 0 {
+		b.Fatal("plan has no representatives to warm")
+	}
+	for _, rep := range pl.Reps {
+		if rep.WarmStart != rep.FuncWarmInsts {
+			b.Fatal("plan's warm spans are not nested prefixes")
+		}
+	}
+	replayed := pl.Reps[len(pl.Reps)-1].WarmStart
+	cfg := policyCfg(pipeline.Noreba)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pl.buildWarmStates(context.Background(), cfg, res.Meta, func(int, *pipeline.WarmState) {}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*replayed), "ns/inst")
+}

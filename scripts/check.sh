@@ -53,6 +53,13 @@ go test -race -run 'TestEstimateConcurrentDeterminism' ./internal/sampling
 # over every policy, interleaving cache geometries on one plan.
 go test -race -run 'TestRecycledEstimateDeterminism' ./internal/sampling
 
+# Observer and bookkeeping differential: over twenty generated programs ×
+# every policy × three core sizes, a sanitized run — whose checker re-derives
+# the commit frontiers, the ordered scheduler sets and every other piece of
+# incremental state from scratch each cycle — must run clean and match a
+# plain run's Stats exactly, per-branch stall records included.
+go test -race -run 'TestSanitizeMatchesPlainStats' ./internal/pipeline
+
 # Correctness substrate over the program generator: fifty generated programs
 # under every commit policy (sanitized, differential against the emulator)
 # already ran under the race detector inside `go test -race ./...` above
