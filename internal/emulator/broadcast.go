@@ -18,9 +18,9 @@ const DefaultBusSkew = 8192
 
 // viewChunk is how many ring slots a view leases per lock acquisition.
 // Leasing amortises the bus mutex over the pipeline's one-instruction-at-a-
-// time Next calls; leased records are served by reference straight out of
-// the shared ring, so N consumers share one copy of every record instead of
-// each copying the chunk into private storage.
+// time pulls; leased records are read straight out of the shared ring, so N
+// consumers share one buffered copy of every record instead of each copying
+// the chunk into private storage.
 const viewChunk = 64
 
 // Broadcast fans one TraceSource out to N lockstep consumers: a single
@@ -43,7 +43,7 @@ const viewChunk = 64
 // ring head at or below every leased slot — a slot is never recycled while
 // a consumer may still be reading it.
 //
-// Views must all be created before the first Next; a consumer that stops
+// Views must all be created before the first pull; a consumer that stops
 // early (error, cancellation) must Close its view or its stalled cursor
 // blocks the others forever. The bus is safe for one goroutine per view;
 // each individual view keeps TraceSource's single-consumer contract.
@@ -52,8 +52,6 @@ type Broadcast struct {
 	cond sync.Cond
 
 	src     TraceSource
-	refSrc  RefSource  // src when it supports zero-copy delivery, else nil
-	intoSrc IntoSource // src when it can produce straight into the ring, else nil
 	name    string
 	maxSkew int
 
@@ -76,14 +74,12 @@ func NewBroadcast(src TraceSource, maxSkew int) *Broadcast {
 		maxSkew = DefaultBusSkew
 	}
 	b := &Broadcast{src: src, name: src.Name(), maxSkew: maxSkew}
-	b.refSrc, _ = src.(RefSource)
-	b.intoSrc, _ = src.(IntoSource)
 	b.cond.L = &b.mu
 	return b
 }
 
 // View hands out one consumer's TraceSource over the shared stream. All
-// views must be created before any of them calls Next — a late joiner would
+// views must be created before any of them pulls — a late joiner would
 // have already missed released records — so View panics once consumption
 // has started.
 func (b *Broadcast) View() *BusView {
@@ -142,7 +138,8 @@ func (b *Broadcast) advanceHeadLocked(min int64) {
 // the ring on first use and enforcing the occupancy invariant. Writing the
 // unpublished slot is safe: the overflow check proves it cannot alias any
 // slot a consumer may be reading (all leased slots lie in [head, end)).
-// The record is not visible until commitSlotLocked. Callers hold b.mu.
+// The record is not visible until pullLocked publishes it. Callers hold
+// b.mu.
 func (b *Broadcast) slotLocked() *DynInst {
 	if b.buf == nil {
 		// Allocate once at full skew capacity (next power of two): leased
@@ -160,28 +157,11 @@ func (b *Broadcast) slotLocked() *DynInst {
 	return &b.buf[b.end&int64(len(b.buf)-1)]
 }
 
-// commitSlotLocked publishes the record written to slotLocked's slot.
-// Callers hold b.mu.
-func (b *Broadcast) commitSlotLocked() {
-	b.end++
-	if n := int(b.end - b.head); n > b.peak {
-		b.peak = n
-	}
-}
-
-// pushLocked appends one record to the ring by copy. The caller has already
-// enforced the skew bound and advanced the head, so occupancy stays within
-// the fixed storage. Callers hold b.mu.
-func (b *Broadcast) pushLocked(d *DynInst) {
-	*b.slotLocked() = *d
-	b.commitSlotLocked()
-}
-
 // BusView is one consumer's pull-based view of a Broadcast stream: a
 // TraceSource delivering exactly the records the underlying source produces,
-// in order, with its own Counts. Next blocks when this consumer would exceed
-// the bus skew bound; Close detaches the consumer so siblings stop waiting
-// for it.
+// in order, with its own Counts. NextInto blocks when this consumer would
+// exceed the bus skew bound; Close detaches the consumer so siblings stop
+// waiting for it.
 type BusView struct {
 	b      *Broadcast
 	cursor int64 // published protected position: start of the current lease (under b.mu)
@@ -201,22 +181,24 @@ type BusView struct {
 // Name identifies the shared underlying program.
 func (v *BusView) Name() string { return v.b.name }
 
-// Next delivers this consumer's next dynamic instruction by value, or false
-// once the shared stream is exhausted (or the view was closed).
-func (v *BusView) Next() (DynInst, bool) {
-	d, ok := v.NextRef()
-	if !ok {
-		return DynInst{}, false
+// NextInto copies this consumer's next dynamic instruction out of the
+// shared ring into *d.
+func (v *BusView) NextInto(d *DynInst) bool {
+	r, ok := v.NextRef()
+	if ok {
+		*d = *r
 	}
-	return *d, true
+	return ok
 }
 
 // NextRef delivers a pointer to this consumer's next dynamic instruction,
-// valid until the next NextRef or Next call (the record lives in the shared
-// ring; advancing past it eventually recycles the slot). When the lease
-// runs dry it takes a new one — pulling the underlying source when this
-// consumer is the first to need a record, blocking when the skew bound says
-// the slowest consumer must catch up first.
+// valid until the next NextRef or NextInto call (the record lives in the
+// shared ring; advancing past it eventually recycles the slot). When the
+// lease runs dry it takes a new one — pulling the underlying source when
+// this consumer is the first to need a record, blocking when the skew bound
+// says the slowest consumer must catch up first. It is the lease read
+// NextInto is built on, kept exported for callers outside this module that
+// read a view without copying (the benchmark harness).
 func (v *BusView) NextRef() (*DynInst, bool) {
 	if v.pos < v.n {
 		d := &v.b.buf[(v.cursor+int64(v.pos))&v.mask]
@@ -284,7 +266,7 @@ func (v *BusView) refill() bool {
 				continue
 			}
 		}
-		// Keep the head no staler than the skew check, so pushLocked's
+		// Keep the head no staler than the skew check, so pullLocked's
 		// occupancy (peak metric and overflow check) stays within the bound.
 		b.advanceHeadLocked(min)
 		if !b.pullLocked() {
@@ -298,25 +280,16 @@ func (v *BusView) refill() bool {
 	return v.n > 0
 }
 
-// pullLocked draws one record from the underlying source into the ring — by
-// reference when the source supports zero-copy delivery (the ring copy
-// happens immediately, within the pointee's validity window), by value
-// otherwise — and records end-of-stream. Callers hold b.mu.
+// pullLocked draws one record from the underlying source straight into the
+// next ring slot — the live-emulator feed executes into the ring, with no
+// DynInst copy on the producer side — and records end-of-stream. Callers
+// hold b.mu.
 func (b *Broadcast) pullLocked() bool {
-	if b.intoSrc != nil {
-		// The source writes straight into the ring slot: the live-emulator
-		// feed has zero DynInst copies on the producer side.
-		if b.intoSrc.NextInto(b.slotLocked()) {
-			b.commitSlotLocked()
-			return true
+	if b.src.NextInto(b.slotLocked()) {
+		b.end++
+		if n := int(b.end - b.head); n > b.peak {
+			b.peak = n
 		}
-	} else if b.refSrc != nil {
-		if d, ok := b.refSrc.NextRef(); ok {
-			b.pushLocked(d)
-			return true
-		}
-	} else if d, ok := b.src.Next(); ok {
-		b.pushLocked(&d)
 		return true
 	}
 	b.eof = true
@@ -348,7 +321,7 @@ func (v *BusView) Counts() Counts { return v.counts }
 // release and any sibling blocked on the skew bound wakes up. A consumer
 // that abandons the stream early (simulation error, cancellation) must call
 // Close, or the stalled cursor blocks every other view forever. Close is
-// idempotent; Next returns false after it.
+// idempotent; NextInto returns false after it.
 func (v *BusView) Close() {
 	b := v.b
 	b.mu.Lock()

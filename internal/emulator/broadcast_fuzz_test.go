@@ -74,8 +74,8 @@ func FuzzBroadcastSkew(f *testing.F) {
 					if p.closeAt >= 0 && k == p.closeAt {
 						return
 					}
-					d, ok := views[i].Next()
-					if !ok {
+					var d DynInst
+					if !views[i].NextInto(&d) {
 						return
 					}
 					got[i] = append(got[i], d)

@@ -35,8 +35,8 @@ func synthTrace(n int) *Trace {
 func drain(src TraceSource) []DynInst {
 	var out []DynInst
 	for {
-		d, ok := src.Next()
-		if !ok {
+		var d DynInst
+		if !src.NextInto(&d) {
 			return out
 		}
 		out = append(out, d)
@@ -104,7 +104,7 @@ func TestBroadcastSkewBlocks(t *testing.T) {
 	go func() {
 		defer close(done)
 		for {
-			if _, ok := fast.Next(); !ok {
+			if !fast.NextInto(&DynInst{}) {
 				return
 			}
 			n.Add(1)
@@ -141,12 +141,12 @@ func TestBroadcastCloseUnblocks(t *testing.T) {
 
 	// The quitter reads a few records and detaches.
 	for i := 0; i < 3; i++ {
-		if _, ok := quitter.Next(); !ok {
+		if !quitter.NextInto(&DynInst{}) {
 			t.Fatal("short stream")
 		}
 	}
 	quitter.Close()
-	if _, ok := quitter.Next(); ok {
+	if quitter.NextInto(&DynInst{}) {
 		t.Error("closed view still delivering")
 	}
 	if err := quitter.Err(); err != nil {
@@ -159,12 +159,12 @@ func TestBroadcastCloseUnblocks(t *testing.T) {
 	}
 }
 
-// TestBroadcastViewAfterStartPanics pins the all-views-before-first-Next
+// TestBroadcastViewAfterStartPanics pins the all-views-before-first-pull
 // contract.
 func TestBroadcastViewAfterStartPanics(t *testing.T) {
 	b := NewBroadcast(synthTrace(10).Source(), 8)
 	v := b.View()
-	v.Next()
+	v.NextInto(&DynInst{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("View after consumption started did not panic")
@@ -195,20 +195,20 @@ func TestBroadcastPropagatesSourceError(t *testing.T) {
 }
 
 // faultingSource delivers a trace then ends with a terminal error, like a
-// machineSource whose run ends on a memory exception.
+// MachineSource whose run ends on a memory exception.
 type faultingSource struct {
 	tr  *Trace
 	pos int
 }
 
 func (s *faultingSource) Name() string { return s.tr.Name }
-func (s *faultingSource) Next() (DynInst, bool) {
+func (s *faultingSource) NextInto(d *DynInst) bool {
 	if s.pos >= len(s.tr.Insts) {
-		return DynInst{}, false
+		return false
 	}
-	d := s.tr.Insts[s.pos]
+	*d = s.tr.Insts[s.pos]
 	s.pos++
-	return d, true
+	return true
 }
 func (s *faultingSource) Err() error     { return &MemError{Addr: 4, PC: 2} }
 func (s *faultingSource) Counts() Counts { return Counts{} }

@@ -97,20 +97,14 @@ func (m *Machine) writeInt(r isa.Reg, v int64) {
 func (m *Machine) readFP(r isa.Reg) float64     { return m.FPRegs[r-isa.F0] }
 func (m *Machine) writeFP(r isa.Reg, v float64) { m.FPRegs[r-isa.F0] = v }
 
-// Step executes one instruction and returns its dynamic-trace record.
-// A memory exception returns a *MemError; the faulting instruction is still
-// recorded (with Trap set) and the PC is left at the faulting instruction so
-// an OS-style handler can inspect and resume.
-func (m *Machine) Step() (DynInst, error) {
-	var d DynInst
-	err := m.StepInto(&d)
-	return d, err
-}
-
-// StepInto is Step writing the dynamic-trace record into *d instead of
-// returning it: trace sources sit on the per-instruction hot path of both
-// detailed and functional-warming simulation, where the record's size makes
-// the extra value copy measurable.
+// StepInto executes one instruction and writes its dynamic-trace record
+// into *d, which it fully overwrites. A memory exception returns a
+// *MemError; the faulting instruction is still recorded (with Trap set) and
+// the PC is left at the faulting instruction so an OS-style handler can
+// inspect and resume. The record goes to caller storage because trace
+// sources sit on the per-instruction hot path of both detailed and
+// functional-warming simulation, where its size makes a value copy
+// measurable.
 func (m *Machine) StepInto(d *DynInst) error {
 	if m.Halted() {
 		return fmt.Errorf("emulator: step after halt")

@@ -109,8 +109,8 @@ func TestStepAfterHaltFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Step(); err == nil {
-		t.Error("Step after halt succeeded")
+	if err := m.StepInto(&DynInst{}); err == nil {
+		t.Error("StepInto after halt succeeded")
 	}
 }
 

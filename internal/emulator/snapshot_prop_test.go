@@ -36,7 +36,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		for _, snapAt := range []int64{1, total / 5, total / 2, 4 * total / 5, total - 2} {
 			ref := New(img)
 			for ref.Seq() < snapAt && !ref.Halted() {
-				if _, err := ref.Step(); err != nil {
+				if err := ref.StepInto(&DynInst{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -51,12 +51,11 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			// Step both machines in lockstep: identical records, then
 			// identical final state.
 			for i := 0; i < steps && !ref.Halted(); i++ {
-				want, err := ref.Step()
-				if err != nil {
+				var want, got DynInst
+				if err := ref.StepInto(&want); err != nil {
 					t.Fatal(err)
 				}
-				got, err := fresh.Step()
-				if err != nil {
+				if err := fresh.StepInto(&got); err != nil {
 					t.Fatalf("seed %d snap@%d step %d: restored machine faulted: %v", seed, snapAt, i, err)
 				}
 				if !reflect.DeepEqual(got, want) {

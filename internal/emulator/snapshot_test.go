@@ -27,7 +27,7 @@ func TestSnapshotRestoreMidRun(t *testing.T) {
 	m := New(img)
 	half := ref.Seq() / 2
 	for m.Seq() < half && !m.Halted() {
-		if _, err := m.Step(); err != nil {
+		if err := m.StepInto(&DynInst{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,7 +42,7 @@ func TestSnapshotRestoreMidRun(t *testing.T) {
 
 	m.Restore(snap)
 	for !m.Halted() {
-		if _, err := m.Step(); err != nil {
+		if err := m.StepInto(&DynInst{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +104,7 @@ func TestRestoredSnapshotIsFullAndIndependent(t *testing.T) {
 
 	ref := New(img)
 	for ref.Seq() < half {
-		if _, err := ref.Step(); err != nil {
+		if err := ref.StepInto(&DynInst{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,10 +113,10 @@ func TestRestoredSnapshotIsFullAndIndependent(t *testing.T) {
 
 	m := NewRestored(img, ckpt)
 	for i := 0; i < 200 && !ref.Halted(); i++ {
-		if _, err := ref.Step(); err != nil {
+		if err := ref.StepInto(&DynInst{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Step(); err != nil {
+		if err := m.StepInto(&DynInst{}); err != nil {
 			t.Fatal(err)
 		}
 	}

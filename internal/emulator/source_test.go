@@ -41,8 +41,8 @@ func TestSourceMatchesRun(t *testing.T) {
 	}
 	var got []DynInst
 	for {
-		d, ok := src.Next()
-		if !ok {
+		var d DynInst
+		if !src.NextInto(&d) {
 			break
 		}
 		got = append(got, d)
@@ -65,9 +65,9 @@ func TestSourceMatchesRun(t *testing.T) {
 			c, want.Len(), want.Branches, want.Loads, want.Stores, want.Setup)
 	}
 
-	// Next after exhaustion stays exhausted.
-	if _, ok := src.Next(); ok {
-		t.Error("Next returned an instruction after end of stream")
+	// NextInto after exhaustion stays exhausted.
+	if src.NextInto(&DynInst{}) {
+		t.Error("NextInto returned an instruction after end of stream")
 	}
 }
 
@@ -77,7 +77,7 @@ func TestSourceMaxInsts(t *testing.T) {
 	src := NewSource(New(img), 10)
 	n := 0
 	for {
-		if _, ok := src.Next(); !ok {
+		if !src.NextInto(&DynInst{}) {
 			break
 		}
 		n++

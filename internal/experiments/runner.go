@@ -642,45 +642,39 @@ func (r *Runner) runSim(ctx context.Context, workload string, cfg pipeline.Confi
 	if err != nil {
 		return nil, err
 	}
-	var st *pipeline.Stats
-	if p.Enabled {
-		pl, err := r.planFor(ctx, workload, p)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.acquire(ctx); err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", workload, err)
-		}
-		defer r.release()
-		r.simsRun.Add(1)
-		r.sampledRuns.Add(1)
-		// Sampling errors already carry workload/interval/policy provenance
-		// (see sampling.runWindow), so no re-wrap here — callers used to
-		// stack a second, differently-worded prefix on the same facts.
-		st, err = pl.EstimateContextN(ctx, cfg, res.Meta, r.poolSize())
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if err := r.acquire(ctx); err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", workload, err)
-		}
-		defer r.release()
-		r.simsRun.Add(1)
-		r.emulationsRun.Add(1)
-		src := emulator.NewSource(emulator.New(res.Image), r.MaxInsts)
-		st, err = pipeline.NewCoreFromSource(cfg, src, res.Meta).RunContext(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("%s under %v: %w", workload, cfg.Policy, err)
-		}
+	if !p.Enabled {
+		return r.execSolo(ctx, workload, cfg, hash, res)
 	}
+	pl, err := r.planFor(ctx, workload, p)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.acquire(ctx); err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", workload, err)
+	}
+	defer r.release()
+	r.simsRun.Add(1)
+	r.sampledRuns.Add(1)
+	// Sampling errors already carry workload/interval/policy provenance
+	// (see sampling.runWindow), so no re-wrap here — callers used to
+	// stack a second, differently-worded prefix on the same facts.
+	st, err := pl.EstimateContextN(ctx, cfg, res.Meta, r.poolSize())
+	if err != nil {
+		return nil, err
+	}
+	r.recordRun(hash, st)
+	return st, nil
+}
+
+// recordRun folds a finished run into the window high-water mark and
+// writes it to the persistent store, if any, under hash.
+func (r *Runner) recordRun(hash string, st *pipeline.Stats) {
 	casMax(&r.peakWindow, st.WindowPeak)
 	if r.Store != nil {
 		if err := r.Store.Put(hash, st); err != nil {
 			r.storeErrs.Add(1)
 		}
 	}
-	return st, nil
 }
 
 // casMax lifts v into the atomic high-water mark m.
@@ -886,7 +880,7 @@ func (r *Runner) simulateGroup(ctx context.Context, group []simReq, notify func(
 			}
 		case len(pending) == 1:
 			o := pending[0]
-			st, err := r.execSolo(ctx, workload, o, res)
+			st, err := r.execSolo(ctx, workload, o.cfg, o.hash, res)
 			r.finishJob(o.j, st, err)
 		default:
 			r.execFanout(ctx, workload, pending, res)
@@ -914,9 +908,10 @@ func (r *Runner) simulateGroup(ctx context.Context, group []simReq, notify func(
 	return firstErr
 }
 
-// execSolo runs one claimed full-detail job on its own emulator stream,
-// mirroring runSim's execution arm (the store was already consulted).
-func (r *Runner) execSolo(ctx context.Context, workload string, o ownedJob, res *compiler.Result) (*pipeline.Stats, error) {
+// execSolo runs one full-detail simulation on its own emulator stream and
+// records it under hash (the store was already consulted): the execution
+// arm shared by runSim and a batch's lone claimed job.
+func (r *Runner) execSolo(ctx context.Context, workload string, cfg pipeline.Config, hash string, res *compiler.Result) (*pipeline.Stats, error) {
 	if err := r.acquire(ctx); err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", workload, err)
 	}
@@ -924,16 +919,11 @@ func (r *Runner) execSolo(ctx context.Context, workload string, o ownedJob, res 
 	r.simsRun.Add(1)
 	r.emulationsRun.Add(1)
 	src := emulator.NewSource(emulator.New(res.Image), r.MaxInsts)
-	st, err := pipeline.NewCoreFromSource(o.cfg, src, res.Meta).RunContext(ctx)
+	st, err := pipeline.NewCoreFromSource(cfg, src, res.Meta).RunContext(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("%s under %v: %w", workload, o.cfg.Policy, err)
+		return nil, fmt.Errorf("%s under %v: %w", workload, cfg.Policy, err)
 	}
-	casMax(&r.peakWindow, st.WindowPeak)
-	if r.Store != nil {
-		if err := r.Store.Put(o.hash, st); err != nil {
-			r.storeErrs.Add(1)
-		}
-	}
+	r.recordRun(hash, st)
 	return st, nil
 }
 
@@ -973,12 +963,7 @@ func (r *Runner) execFanout(ctx context.Context, workload string, batch []ownedJ
 				r.finishJob(o.j, nil, fmt.Errorf("%s under %v: %w", workload, o.cfg.Policy, err))
 				return
 			}
-			casMax(&r.peakWindow, st.WindowPeak)
-			if r.Store != nil {
-				if err := r.Store.Put(o.hash, st); err != nil {
-					r.storeErrs.Add(1)
-				}
-			}
+			r.recordRun(o.hash, st)
 			r.finishJob(o.j, st, nil)
 		}(o, views[i])
 	}

@@ -144,12 +144,14 @@ type offsetSource struct {
 
 func (s *offsetSource) Name() string { return s.src.Name() }
 
-func (s *offsetSource) Next() (emulator.DynInst, bool) {
-	d, ok := s.src.Next()
-	if ok && d.Inst.Op.IsMem() {
+func (s *offsetSource) NextInto(d *emulator.DynInst) bool {
+	if !s.src.NextInto(d) {
+		return false
+	}
+	if d.Inst.Op.IsMem() {
 		d.Addr += s.delta
 	}
-	return d, ok
+	return true
 }
 
 func (s *offsetSource) Err() error              { return s.src.Err() }

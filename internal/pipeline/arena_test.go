@@ -10,44 +10,25 @@ import (
 // shadowSource wraps a TraceSource, keeping a private copy of every record
 // it delivers. Deliveries are in trace order, so shadow[idx] is the record
 // the window loaded at trace index idx — the reference for the aliasing
-// sweeps below. It passes the underlying zero-copy form through when one is
-// available, so the wrapped core exercises the by-reference delivery path.
+// sweeps below. The wrapped source writes straight into the core's arena
+// slot, so the copy is taken from the slot itself.
 type shadowSource struct {
 	src    emulator.TraceSource
-	refSrc emulator.RefSource
 	shadow []emulator.DynInst
 }
 
 func newShadowSource(src emulator.TraceSource) *shadowSource {
-	s := &shadowSource{src: src}
-	s.refSrc, _ = src.(emulator.RefSource)
-	return s
+	return &shadowSource{src: src}
 }
 
 func (s *shadowSource) Name() string { return s.src.Name() }
 
-func (s *shadowSource) Next() (emulator.DynInst, bool) {
-	d, ok := s.NextRef()
-	if !ok {
-		return emulator.DynInst{}, false
+func (s *shadowSource) NextInto(d *emulator.DynInst) bool {
+	if !s.src.NextInto(d) {
+		return false
 	}
-	return *d, true
-}
-
-func (s *shadowSource) NextRef() (*emulator.DynInst, bool) {
-	if s.refSrc != nil {
-		d, ok := s.refSrc.NextRef()
-		if ok {
-			s.shadow = append(s.shadow, *d)
-		}
-		return d, ok
-	}
-	d, ok := s.src.Next()
-	if !ok {
-		return nil, false
-	}
-	s.shadow = append(s.shadow, d)
-	return &s.shadow[len(s.shadow)-1], true
+	s.shadow = append(s.shadow, *d)
+	return true
 }
 
 func (s *shadowSource) Err() error              { return s.src.Err() }

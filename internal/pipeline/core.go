@@ -397,10 +397,24 @@ func (c *Core) Finalize() *Stats {
 	return &c.stats
 }
 
-// warmCancelCheckInsts is how often WarmFunctional polls its context: a
-// cancelled replay stops within a fraction of a millisecond instead of
-// finishing a warm span of up to a million instructions.
+// warmCancelCheckInsts is how often the functional replays (WarmFunctional,
+// FingerprintFunctional) poll their context: a cancelled replay stops within
+// a fraction of a millisecond instead of finishing a span of up to a
+// million instructions.
 const warmCancelCheckInsts = 1 << 16
+
+// replayCancelled is the functional replays' cancellation poll before their
+// i-th instruction: once done (ctx.Done(), read once per replay; nil for a
+// context that is never cancelled) is closed, it returns an error wrapping
+// ctx's cause.
+func replayCancelled(ctx context.Context, done <-chan struct{}, what string, i int64) error {
+	select {
+	case <-done:
+		return fmt.Errorf("pipeline: %s cancelled after %d instructions: %w", what, i, context.Cause(ctx))
+	default:
+		return nil
+	}
+}
 
 // WarmFunctional drains src through the core's long-lived microarchitectural
 // state — instruction and data caches, prefetcher, branch predictor,
@@ -430,11 +444,9 @@ func (c *Core) WarmFunctional(ctx context.Context, src emulator.TraceSource, ins
 		const warmCPI = 2 // nominal cycles per instruction
 		clock = func(i int64) int64 { return -warmCPI * (insts - 1 - i) }
 	}
-	// Sources that can execute straight into a record (the live emulator)
-	// fill one reused record: the replay copies no DynInst per instruction.
-	into, _ := src.(emulator.IntoSource)
-	var rec emulator.DynInst
-	d := &rec
+	// One reused record: the live emulator executes straight into it, so
+	// the replay copies no DynInst per instruction.
+	var d emulator.DynInst
 	done := ctx.Done()
 	// An instruction in the same line as the previous one is a guaranteed
 	// L1i hit (nothing else touches the instruction hierarchy in between),
@@ -443,23 +455,13 @@ func (c *Core) WarmFunctional(ctx context.Context, src emulator.TraceSource, ins
 	// the replay looks up each run of same-line instructions once.
 	lastLine := int64(-1)
 	for i := int64(0); ; i++ {
-		if done != nil && i%warmCancelCheckInsts == 0 {
-			select {
-			case <-done:
-				return fmt.Errorf("pipeline: functional warming cancelled after %d instructions: %w",
-					i, context.Cause(ctx))
-			default:
+		if i%warmCancelCheckInsts == 0 {
+			if err := replayCancelled(ctx, done, "functional warming", i); err != nil {
+				return err
 			}
 		}
-		if into != nil {
-			if !into.NextInto(d) {
-				return nil
-			}
-		} else {
-			var ok bool
-			if rec, ok = src.Next(); !ok {
-				return nil
-			}
+		if !src.NextInto(&d) {
+			return nil
 		}
 		// The pseudo-cycle only matters to cache accesses, so it is computed
 		// only for instructions that make one.
@@ -510,13 +512,21 @@ func (c *Core) WarmFunctional(ctx context.Context, src emulator.TraceSource, ins
 // behaviour far cheaper than a detailed pilot run; the pseudo-clock
 // compresses time relative to a real pipeline, so the extracted latencies
 // are a phase signature, not a cycle estimate. Must be called on a
-// dedicated Core that is never stepped.
-func (c *Core) FingerprintFunctional(src emulator.TraceSource, visit func(memExtra int64, mispred bool)) {
+// dedicated Core that is never stepped. Like WarmFunctional, the replay
+// polls ctx every warmCancelCheckInsts instructions and returns an error
+// wrapping its cause once it is cancelled.
+func (c *Core) FingerprintFunctional(ctx context.Context, src emulator.TraceSource, visit func(memExtra int64, mispred bool)) error {
+	var d emulator.DynInst
+	done := ctx.Done()
 	var cycle int64
 	for {
-		d, ok := src.Next()
-		if !ok {
-			return
+		if cycle%warmCancelCheckInsts == 0 {
+			if err := replayCancelled(ctx, done, "functional fingerprint", cycle); err != nil {
+				return err
+			}
+		}
+		if !src.NextInto(&d) {
+			return nil
 		}
 		cycle++
 		var memExtra int64

@@ -20,11 +20,9 @@ import (
 // Columns are normalised to mean 1 so they are commensurate with the
 // pilot-CPI dimension; an all-zero column (no misses, or no mispredictions)
 // carries no signal and is dropped. Cancelling ctx ends the replay early
-// (the caller's pilot fails with the cancellation; partial columns are
-// discarded with it).
-func fingerprintDims(ctx context.Context, src emulator.TraceSource, meta *compiler.Meta, prof *Profile) [][]float64 {
+// with an error wrapping its cause.
+func fingerprintDims(ctx context.Context, src emulator.TraceSource, meta *compiler.Meta, prof *Profile) ([][]float64, error) {
 	cfg := pipeline.SkylakeConfig()
-	src = &cancellableSource{TraceSource: src, ctx: ctx}
 	core := pipeline.NewCoreFromSource(cfg, src, meta)
 
 	n := len(prof.Intervals)
@@ -32,7 +30,7 @@ func fingerprintDims(ctx context.Context, src emulator.TraceSource, meta *compil
 	mis := make([]float64, n)
 	idx := 0
 	var pos int64
-	core.FingerprintFunctional(src, func(memExtra int64, mispred bool) {
+	err := core.FingerprintFunctional(ctx, src, func(memExtra int64, mispred bool) {
 		for idx < n && pos >= prof.Intervals[idx].Start+prof.Intervals[idx].Insts {
 			idx++
 		}
@@ -45,6 +43,9 @@ func fingerprintDims(ctx context.Context, src emulator.TraceSource, meta *compil
 			mis[idx]++
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i := range prof.Intervals {
 		if insts := prof.Intervals[i].Insts; insts > 0 {
 			mem[i] /= float64(insts)
@@ -58,25 +59,7 @@ func fingerprintDims(ctx context.Context, src emulator.TraceSource, meta *compil
 			dims = append(dims, nd)
 		}
 	}
-	return dims
-}
-
-// cancellableSource ends a stream early once its context is cancelled,
-// checking every 4096 deliveries. Consumers that have no early-exit path of
-// their own (FingerprintFunctional drains its source to the end) wrap their
-// source in one so a cancelled build does not replay the whole stream.
-type cancellableSource struct {
-	emulator.TraceSource
-	ctx context.Context
-	n   int
-}
-
-func (s *cancellableSource) Next() (emulator.DynInst, bool) {
-	s.n++
-	if s.n&4095 == 0 && s.ctx.Err() != nil {
-		return emulator.DynInst{}, false
-	}
-	return s.TraceSource.Next()
+	return dims, nil
 }
 
 // normalizeMean1 rescales a non-negative column to mean 1, or returns nil

@@ -329,14 +329,20 @@ func BuildPlanContext(ctx context.Context, img *program.Image, meta *compiler.Me
 	bus := emulator.NewBroadcast(emulator.NewSource(emulator.New(img), maxInsts), 0)
 	pilotView := bus.View()
 	fpView := bus.View()
-	fpDims := make(chan [][]float64, 1)
+	var fpDims [][]float64
+	var fpErr error
+	fpDone := make(chan struct{})
 	go func() {
+		defer close(fpDone)
 		defer fpView.Close()
-		fpDims <- fingerprintDims(ctx, fpView, meta, prof)
+		fpDims, fpErr = fingerprintDims(ctx, fpView, meta, prof)
 	}()
 	cpi, rate, err := pilotCPI(ctx, pilotView, meta, prof, pilotPolicy)
 	pilotView.Close()
-	fpd := <-fpDims
+	<-fpDone
+	if err == nil {
+		err = fpErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +364,7 @@ func BuildPlanContext(ctx context.Context, img *program.Image, meta *compiler.Me
 	if nd := normalizeMean1(setup); nd != nil {
 		dims = append(dims, nd)
 	}
-	dims = append(dims, fpd...)
+	dims = append(dims, fpDims...)
 	pilot := make([][]float64, len(vecs))
 	for nd, d := range dims {
 		for i := range vecs {
@@ -637,10 +643,11 @@ func (pl *Plan) capture() error {
 	sort.Slice(points, func(i, j int) bool { return points[i].pos < points[j].pos })
 
 	m := emulator.New(pl.img)
+	var d emulator.DynInst
 	var pos int64
 	for _, pt := range points {
 		for pos < pt.pos {
-			if _, err := m.Step(); err != nil {
+			if err := m.StepInto(&d); err != nil {
 				return fmt.Errorf("sampling: %s: fast-forward to %d: %w",
 					pl.Name, pt.pos, err)
 			}

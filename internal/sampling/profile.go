@@ -69,11 +69,8 @@ func BuildProfile(src emulator.TraceSource, intervalLen int64) *Profile {
 	p := &Profile{Name: src.Name(), IntervalLen: intervalLen}
 	var cur *Interval
 	leader := -1
-	for {
-		d, ok := src.Next()
-		if !ok {
-			break
-		}
+	var d emulator.DynInst
+	for src.NextInto(&d) {
 		if cur == nil || cur.Insts == intervalLen {
 			p.Intervals = append(p.Intervals, Interval{
 				Index: len(p.Intervals),

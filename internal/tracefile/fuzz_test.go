@@ -37,12 +37,12 @@ func fuzzSeedBlob(f *testing.F, seed uint64, withMeta bool, trap bool) []byte {
 	}
 	var last emulator.DynInst
 	for i := 0; i < 5; i++ {
-		d, ok := src.Next()
-		if !ok {
+		var d emulator.DynInst
+		if !src.NextInto(&d) {
 			f.Fatal("source too short")
 		}
 		last = d
-		if err := tw.WriteInst(d); err != nil {
+		if err := tw.WriteInst(&d); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -81,8 +81,8 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 		var insts []emulator.DynInst
 		for {
-			d, ok := rd.Next()
-			if !ok {
+			var d emulator.DynInst
+			if !rd.NextInto(&d) {
 				break
 			}
 			insts = append(insts, d)
@@ -105,7 +105,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatalf("rewrite of accepted stream rejected: %v", err)
 		}
 		for _, d := range insts {
-			if err := tw.WriteInst(d); err != nil {
+			if err := tw.WriteInst(&d); err != nil {
 				t.Fatalf("rewrite of accepted record rejected: %v (%+v)", err, d)
 			}
 		}
@@ -118,8 +118,8 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatalf("reread of rewrite failed: %v", err)
 		}
 		for i := 0; ; i++ {
-			d, ok := rd2.Next()
-			if !ok {
+			var d emulator.DynInst
+			if !rd2.NextInto(&d) {
 				if i != len(insts) {
 					t.Fatalf("reread delivered %d insts, want %d", i, len(insts))
 				}
@@ -143,7 +143,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, d := range insts {
-			if err := tw2.WriteInst(d); err != nil {
+			if err := tw2.WriteInst(&d); err != nil {
 				t.Fatal(err)
 			}
 		}

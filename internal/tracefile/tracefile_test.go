@@ -75,8 +75,8 @@ func TestRoundTripStream(t *testing.T) {
 	src3, _ := genSource(t, 11)
 	want := emulator.Counts{}
 	for {
-		d, ok := src3.Next()
-		if !ok {
+		var d emulator.DynInst
+		if !src3.NextInto(&d) {
 			break
 		}
 		want.Add(&d)
@@ -123,12 +123,12 @@ func TestRoundTripMemError(t *testing.T) {
 	}
 	var last emulator.DynInst
 	for i := 0; i < 10; i++ {
-		d, ok := src.Next()
-		if !ok {
+		var d emulator.DynInst
+		if !src.NextInto(&d) {
 			t.Fatal("source too short")
 		}
 		last = d
-		if err := tw.WriteInst(d); err != nil {
+		if err := tw.WriteInst(&d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestRoundTripMemError(t *testing.T) {
 	}
 	n := 0
 	for {
-		if _, ok := rd.Next(); !ok {
+		if !rd.NextInto(&emulator.DynInst{}) {
 			break
 		}
 		n++
@@ -197,7 +197,7 @@ func TestRecorderEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
-		if _, ok := rec.Next(); !ok {
+		if !rec.NextInto(&emulator.DynInst{}) {
 			t.Fatal("source too short")
 		}
 	}
@@ -228,11 +228,12 @@ func TestWriterRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := genSource(t, 1)
-	d, _ := src.Next()
-	if err := tw.WriteInst(d); err != nil {
+	var d emulator.DynInst
+	src.NextInto(&d)
+	if err := tw.WriteInst(&d); err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.WriteInst(d); err == nil {
+	if err := tw.WriteInst(&d); err == nil {
 		t.Error("non-increasing seq accepted")
 	}
 	if err := tw.Close(errors.New("not a mem error")); err == nil {
@@ -241,7 +242,7 @@ func TestWriterRejects(t *testing.T) {
 	if err := tw.Close(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.WriteInst(d); err == nil {
+	if err := tw.WriteInst(&d); err == nil {
 		t.Error("WriteInst after Close accepted")
 	}
 	if err := tw.Close(nil); err == nil {
@@ -261,7 +262,7 @@ func TestCorruptInputs(t *testing.T) {
 		rd, err := Open(bytes.NewReader(blob))
 		if err == nil {
 			for {
-				if _, ok := rd.Next(); !ok {
+				if !rd.NextInto(&emulator.DynInst{}) {
 					break
 				}
 			}

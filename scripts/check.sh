@@ -22,6 +22,10 @@ fi
 
 go vet ./...
 go build ./...
+# The benchmark harness is a separate module (perfbench/go.mod), so the
+# root ./... patterns above never compile it; it calls the emulator and
+# pipeline APIs directly, so an API change must keep it vetting and passing.
+(cd perfbench && go vet ./... && go test ./...)
 # internal/experiments alone runs ~8.5 min of race-instrumented simulation
 # (the sanitized whole-suite pass is ~2 min of it); the default 10-minute
 # per-package timeout leaves too little headroom on a shared box.
@@ -72,6 +76,7 @@ go test -race -run 'TestGeneratedBatchSharesEmulation' ./internal/experiments
 # Coverage gate: the cycle model, the compiler pass, the service layer, the
 # sampling planner, the program generator and the trace codec are where a
 # silent regression costs the most, so they carry a hard floor.
+# Keep this list identical to the Makefile's cover target.
 for pkg in ./internal/pipeline ./internal/compiler ./internal/service ./internal/sampling ./internal/workgen ./internal/tracefile; do
 	pct=$(go test -cover "$pkg" | awk '/coverage:/ { sub("%", "", $(NF-2)); print $(NF-2) }')
 	if [ -z "$pct" ]; then
