@@ -50,9 +50,9 @@ cluster-smoke:
 
 # Short fuzz campaigns for the native targets.
 fuzz:
-	go test ./internal/isa -run '^$$' -fuzz 'FuzzEncodeDecodeRoundTrip$$' -fuzztime 10s
-	go test ./internal/compiler -run '^$$' -fuzz 'FuzzCompilerPass$$' -fuzztime 10s
-	go test ./internal/emulator -run '^$$' -fuzz 'FuzzBroadcastSkew$$' -fuzztime 10s
-	go test ./internal/workgen -run '^$$' -fuzz 'FuzzGeneratedDifferential$$' -fuzztime 10s
-	go test ./internal/tracefile -run '^$$' -fuzz 'FuzzTraceRoundTrip$$' -fuzztime 10s
-	go test ./internal/sampling -run '^$$' -fuzz 'FuzzPlanFile$$' -fuzztime 10s
+	go test ./internal/isa -run '^$$' -fuzz 'FuzzEncodeDecodeRoundTrip$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/compiler -run '^$$' -fuzz 'FuzzCompilerPass$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/emulator -run '^$$' -fuzz 'FuzzBroadcastSkew$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/workgen -run '^$$' -fuzz 'FuzzGeneratedDifferential$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/tracefile -run '^$$' -fuzz 'FuzzTraceRoundTrip$$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/sampling -run '^$$' -fuzz 'FuzzPlanFile$$' -fuzztime 10s -fuzzminimizetime 1s

@@ -13,19 +13,31 @@ const LineSize = 64
 
 type line struct {
 	tag     int64
-	valid   bool
-	lastUse int64 // LRU clock
+	lastUse int64 // LRU clock; 0 for an invalid way, as every stamp is >= 1
 	readyAt int64 // cycle the fill completes
 }
 
+func (l *line) valid() bool { return l.lastUse != 0 }
+
+// chunkShift sizes the blocks set storage is allocated in: 1<<chunkShift
+// sets per chunk (fewer when the whole cache is smaller).
+const chunkShift = 4
+
 // Cache is one set-associative level.
+//
+// Storage is sparse and set-granular: a set gets lines the first time an
+// access touches it, so a cache costs its set index plus the sets a run
+// actually uses. Every cache is an overlay: a fresh one overlays nothing
+// (an untouched set reads as all-invalid), a copy-on-write clone overlays
+// the frozen cache it was made from (an untouched set reads through that
+// parent chain). Materialized sets live in fixed-size chunks that are never
+// moved or copied, so a set slice stays valid while other sets materialize.
 type Cache struct {
 	name     string
 	sets     int
 	setMask  uint64 // sets-1 when sets is a power of two, else 0
 	ways     int
 	latency  int64
-	lines    []line // sets × ways; frozen shared storage in a COW clone
 	lruClock int64
 
 	// shift lazily rebases fill timestamps: a line's effective readiness is
@@ -33,17 +45,16 @@ type Cache struct {
 	// is O(1) instead of a pass over every line.
 	shift int64
 
-	// Copy-on-write state, set only in clones made with CloneCOW: parent is
-	// the frozen base this clone overlays (itself possibly a COW clone,
-	// forming a chain down to a root that owns its lines), ownIdx maps a set
-	// index to 1+slot in owned, and owned holds the materialized (privately
-	// writable) sets, ways lines each. A nil ownIdx means the cache owns
-	// lines outright. A set is resolved at the nearest chain level that has
-	// materialized it; every level below a clone must stay frozen while the
-	// clone is live.
+	// parent is the frozen cache this one overlays, nil for none (possibly
+	// itself an overlay, forming a chain). idx maps a set to 1+slot of its
+	// storage here, 0 while this cache has not materialized it; a set
+	// resolves at the nearest chain level that has. Slot k is ways lines in
+	// chunks[k>>chunkShift], and slots 0 to used-1 are taken. Every level
+	// below a clone must stay frozen while the clone is live.
 	parent *Cache
-	ownIdx []int32
-	owned  []line
+	idx    []int32
+	chunks [][]line
+	used   int32
 
 	// Statistics.
 	Accesses int64
@@ -51,7 +62,7 @@ type Cache struct {
 }
 
 // New builds a cache with the given total size in bytes, associativity and
-// hit latency in cycles.
+// hit latency in cycles. It starts empty and allocates only its set index.
 func New(name string, sizeBytes, ways int, latency int64) *Cache {
 	sets := sizeBytes / LineSize / ways
 	if sets < 1 {
@@ -62,7 +73,7 @@ func New(name string, sizeBytes, ways int, latency int64) *Cache {
 		sets:    sets,
 		ways:    ways,
 		latency: latency,
-		lines:   make([]line, sets*ways),
+		idx:     make([]int32, sets),
 	}
 	if sets&(sets-1) == 0 {
 		c.setMask = uint64(sets - 1)
@@ -76,102 +87,111 @@ func (c *Cache) Name() string { return c.name }
 // Latency returns the level's hit latency.
 func (c *Cache) Latency() int64 { return c.latency }
 
-func (c *Cache) set(addr int64) []line {
-	blk := uint64(addr / LineSize)
+// setIndex returns the set a line (address / LineSize) maps to.
+func (c *Cache) setIndex(tag int64) int {
+	blk := uint64(tag)
 	// A power-of-two set count — every stock geometry — indexes with a mask
 	// instead of a division on the simulator's hottest path.
-	var s int
 	if c.setMask != 0 {
-		s = int(blk & c.setMask)
+		return int(blk & c.setMask)
+	}
+	return int(blk % uint64(c.sets))
+}
+
+// slot returns the ways of slot k.
+func (c *Cache) slot(k int32) []line {
+	off := int(k&(1<<chunkShift-1)) * c.ways
+	return c.chunks[k>>chunkShift][off : off+c.ways]
+}
+
+// chunkLen is the length in lines of one storage chunk.
+func (c *Cache) chunkLen() int { return min(1<<chunkShift, c.sets) * c.ways }
+
+// materialize gives set s storage here, initialised to what the parent
+// chain holds for it, and returns 1+its slot.
+func (c *Cache) materialize(s int) int32 {
+	k := c.used
+	if int(k>>chunkShift) == len(c.chunks) {
+		c.chunks = append(c.chunks, make([]line, c.chunkLen()))
+	}
+	c.used++
+	c.idx[s] = k + 1
+	dst := c.slot(k)
+	if src := c.parent.find(s); src != nil {
+		copy(dst, src)
 	} else {
-		s = int(blk % uint64(c.sets))
+		clear(dst) // a recycled chunk holds a former overlay's lines
 	}
-	if c.ownIdx == nil {
-		return c.lines[s*c.ways : (s+1)*c.ways]
-	}
-	if idx := c.ownIdx[s]; idx != 0 {
-		off := int(idx-1) * c.ways
-		return c.owned[off : off+c.ways]
-	}
-	// First touch of this set: materialize a private copy. Even a lookup
-	// must, since a hit updates the line's LRU stamp.
-	off := len(c.owned)
-	c.owned = append(c.owned, c.resolveSet(s)...)
-	c.ownIdx[s] = int32(off/c.ways) + 1
-	return c.owned[off : off+c.ways]
+	return k + 1
 }
 
-// resolveSet returns set s as seen through the COW chain, without
-// materializing it here: the nearest level that owns or has materialized the
-// set wins. Only valid on a COW clone (ownIdx non-nil) that has not
-// materialized s itself. The returned slice aliases frozen storage.
-func (c *Cache) resolveSet(s int) []line {
-	for p := c.parent; ; p = p.parent {
-		if p.ownIdx == nil {
-			return p.lines[s*p.ways : (s+1)*p.ways]
-		}
-		if idx := p.ownIdx[s]; idx != 0 {
-			off := int(idx-1) * p.ways
-			return p.owned[off : off+p.ways]
+// find returns set s as c sees it, without materializing it: the nearest
+// chain level that has materialized the set wins, and nil means no level
+// has (all ways invalid). The slice may alias a frozen parent's storage.
+func (c *Cache) find(s int) []line {
+	for p := c; p != nil; p = p.parent {
+		if k := p.idx[s]; k != 0 {
+			return p.slot(k - 1)
 		}
 	}
+	return nil
 }
 
-// lookup returns the way holding addr, or nil.
-func (c *Cache) lookup(addr int64) *line {
-	tag := addr / LineSize
-	set := c.set(addr)
+// lookup returns the way of set holding the line, or nil.
+func lookup(set []line, tag int64) *line {
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag && set[i].valid() {
 			return &set[i]
 		}
 	}
 	return nil
 }
 
-// install places addr's line into the cache with the given readiness time,
-// evicting the LRU way.
-func (c *Cache) install(addr, readyAt int64) *line {
-	tag := addr / LineSize
-	set := c.set(addr)
+// install places the line into set (one of c's) with the given readiness
+// time, evicting the first invalid way, else the LRU one: the first way
+// with the lowest stamp either way. Ways therefore fill in order, so a
+// set's valid lines are always a prefix of it.
+func (c *Cache) install(set []line, tag, readyAt int64) {
 	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			victim = &set[i]
-			break
-		}
+	for i := 1; i < len(set) && victim.valid(); i++ {
 		if set[i].lastUse < victim.lastUse {
 			victim = &set[i]
 		}
 	}
 	c.lruClock++
-	*victim = line{tag: tag, valid: true, lastUse: c.lruClock, readyAt: readyAt - c.shift}
-	return victim
+	*victim = line{tag: tag, lastUse: c.lruClock, readyAt: readyAt - c.shift}
 }
 
 // Contains reports whether addr's line is resident (regardless of fill
-// completion); used by tests and the prefetcher.
-func (c *Cache) Contains(addr int64) bool { return c.lookup(addr) != nil }
+// completion); used by tests and the prefetcher. It materializes nothing.
+func (c *Cache) Contains(addr int64) bool {
+	tag := addr / LineSize
+	return lookup(c.find(c.setIndex(tag)), tag) != nil
+}
 
 // Clone returns an independent deep copy of the level: contents, LRU order,
-// fill timestamps and statistics. Cloning a COW clone flattens its chain.
+// fill timestamps and statistics. The copy's form depends only on what is
+// cached: it overlays nothing, holds exactly the non-empty sets, in set
+// order, and has the clock shift folded into its timestamps — so two caches
+// holding the same lines clone to deeply equal values however their sets
+// were touched.
 func (c *Cache) Clone() *Cache {
 	cp := *c
-	if c.ownIdx == nil {
-		cp.lines = append([]line(nil), c.lines...)
-		return &cp
-	}
-	cp.lines = make([]line, c.sets*c.ways)
-	for s := 0; s < c.sets; s++ {
-		var src []line
-		if idx := c.ownIdx[s]; idx != 0 {
-			src = c.owned[int(idx-1)*c.ways : int(idx)*c.ways]
-		} else {
-			src = c.resolveSet(s)
+	cp.parent, cp.chunks, cp.used, cp.shift = nil, nil, 0, 0
+	cp.idx = make([]int32, c.sets)
+	for s := range c.sets {
+		src := c.find(s)
+		if src == nil || !src[0].valid() {
+			continue
 		}
-		copy(cp.lines[s*c.ways:(s+1)*c.ways], src)
+		dst := cp.slot(cp.materialize(s) - 1)
+		for i, ln := range src {
+			if ln.valid() {
+				ln.readyAt += c.shift
+			}
+			dst[i] = ln
+		}
 	}
-	cp.parent, cp.ownIdx, cp.owned = nil, nil, nil
 	return &cp
 }
 
@@ -183,32 +203,30 @@ func (c *Cache) Clone() *Cache {
 // touches a tiny fraction of a large cache's sets, so a COW clone replaces
 // megabytes of line copying per window with one sets-sized index.
 func (c *Cache) CloneCOW() *Cache {
-	// The clone expects to touch about as many sets as c materialized over
-	// its own parent: reserve that much so its overlay grows without
-	// repeated copying.
-	cp := &Cache{owned: make([]line, 0, len(c.owned))}
+	cp := new(Cache)
 	cp.ResetCOW(c)
 	return cp
 }
 
 // ResetCOW turns c into a copy-on-write clone layered over parent, exactly
-// as parent.CloneCOW() would build it, but keeping c's overlay buffers (the
-// set index and the materialized-set storage) when they are large enough.
-// c must be a private clone no other cache layers over; sampled simulation
-// recycles one window core's caches across windows this way.
+// as parent.CloneCOW() would build it, but keeping c's set index and storage
+// chunks when they fit parent's geometry. c must be a private clone no other
+// cache layers over; sampled simulation recycles one window core's caches
+// across windows this way.
 func (c *Cache) ResetCOW(parent *Cache) {
-	idx, owned := c.ownIdx, c.owned
+	idx, chunks := c.idx, c.chunks
 	*c = *parent
 	c.parent = parent
-	c.lines = nil // sets resolve through the chain; avoid stale shortcuts
 	if cap(idx) >= parent.sets {
 		idx = idx[:parent.sets]
 		clear(idx)
 	} else {
 		idx = make([]int32, parent.sets)
 	}
-	c.ownIdx = idx
-	c.owned = owned[:0]
+	if len(chunks) > 0 && len(chunks[0]) != parent.chunkLen() {
+		chunks = nil
+	}
+	c.idx, c.chunks, c.used = idx, chunks, 0
 }
 
 // shiftClock rebases every valid line's fill-completion timestamp by delta
@@ -267,51 +285,63 @@ func (h *Hierarchy) Prefetch(addr, cycle int64) {
 const maxStackLevels = 3
 
 func (h *Hierarchy) access(addr, cycle int64, prefetch bool) int64 {
+	tag := addr / LineSize
 	elapsed := int64(0)
-	var missBuf [maxStackLevels]*Cache
-	missLevels := missBuf[:0]
+	// The levels missed are a prefix of h.Levels; slots[i] is the slot of
+	// the set level i's fill goes into, found by the lookup.
+	var slotBuf [maxStackLevels]int32
+	slots := slotBuf[:0]
 	for _, c := range h.Levels {
 		if !prefetch {
 			c.Accesses++
 		}
 		elapsed += c.latency
-		if ln := c.lookup(addr); ln != nil {
+		// The set to look up, privately writable: materialize it on first
+		// touch, as even a hit updates a line's LRU stamp. (Inlined by
+		// hand: this is the simulator's hottest path.)
+		s := c.setIndex(tag)
+		k := c.idx[s]
+		if k == 0 {
+			k = c.materialize(s)
+		}
+		k--
+		if ln := lookup(c.slot(k), tag); ln != nil {
 			c.lruClock++
 			ln.lastUse = c.lruClock
 			ready := cycle + elapsed
 			if eff := ln.readyAt + c.shift; eff > ready {
 				ready = eff // in-flight fill: pay the remaining time
 			}
-			if !prefetch && ln.readyAt+c.shift > cycle && len(missLevels) == 0 {
+			if !prefetch && ln.readyAt+c.shift > cycle && len(slots) == 0 {
 				// Demand hit on an in-flight prefetch: it was useful.
 				h.PrefetchUseful++
 			}
-			h.fill(missLevels, addr, ready)
+			h.fill(slots, tag, ready)
 			return ready
 		}
 		if !prefetch {
 			c.Misses++
 		}
-		missLevels = append(missLevels, c)
+		slots = append(slots, k)
 	}
 	if !prefetch {
 		h.MemAccs++
 	}
 	ready := cycle + elapsed + h.MemLat
-	h.fill(missLevels, addr, ready)
+	h.fill(slots, tag, ready)
 	return ready
 }
 
-func (h *Hierarchy) fill(levels []*Cache, addr, readyAt int64) {
-	for _, c := range levels {
-		c.install(addr, readyAt)
+func (h *Hierarchy) fill(slots []int32, tag, readyAt int64) {
+	for i, k := range slots {
+		c := h.Levels[i]
+		c.install(c.slot(k), tag, readyAt)
 	}
 }
 
-// Clone returns an independent deep copy of the whole hierarchy. Sampled
-// simulation uses it to capture functionally-warmed cache state once and
-// reuse it across the configurations and representative windows that share
-// the same warming input.
+// Clone returns an independent deep copy of the whole hierarchy, each level
+// in Cache.Clone's canonical form, so clones of hierarchies holding the same
+// lines and statistics are deeply equal.
 func (h *Hierarchy) Clone() *Hierarchy {
 	cp := *h
 	cp.Levels = make([]*Cache, len(h.Levels))

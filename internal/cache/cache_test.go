@@ -99,15 +99,17 @@ func TestPrefetchHidesLatency(t *testing.T) {
 
 func TestLRUReplacement(t *testing.T) {
 	c := New("tiny", 2*LineSize, 2, 1) // 1 set, 2 ways
-	c.install(0*LineSize, 0)
-	c.install(1*LineSize, 0)
+	set := c.slot(c.materialize(0) - 1)
+	c.install(set, 0, 0)
+	c.install(set, 1, 0)
 	// Touch line 0 so line 1 becomes LRU.
-	if c.lookup(0) == nil {
+	ln := lookup(set, 0)
+	if ln == nil {
 		t.Fatal("line 0 missing")
 	}
 	c.lruClock++
-	c.lookup(0).lastUse = c.lruClock
-	c.install(2*LineSize, 0)
+	ln.lastUse = c.lruClock
+	c.install(set, 2, 0)
 	if !c.Contains(0) {
 		t.Error("MRU line evicted")
 	}
@@ -127,4 +129,54 @@ func TestResetClearsStats(t *testing.T) {
 	if !h.Levels[0].Contains(0x100) {
 		t.Error("Reset must keep contents")
 	}
+}
+
+// benchStream is a deterministic access stream with a data-like mix: a
+// 48 KB working set swept with a stride (L1 and L2 hits), a hot 4 KB block,
+// and scattered accesses over 8 MB (L3 and memory misses).
+func benchStream() []int64 {
+	s := make([]int64, 1<<16)
+	x := uint64(1)
+	for i := range s {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		switch i % 8 {
+		case 0:
+			s[i] = int64(x % (8 << 20))
+		case 1, 2:
+			s[i] = int64(x % (4 << 10))
+		default:
+			s[i] = int64(i*24) % (48 << 10)
+		}
+	}
+	return s
+}
+
+// BenchmarkHierarchyAccess reports the cost of one demand access to a
+// Skylake data hierarchy. fresh starts a new hierarchy every 64 Ki accesses,
+// construction included, so first-touch costs count; warmed keeps replaying
+// the stream over one hierarchy that has already seen it.
+func BenchmarkHierarchyAccess(b *testing.B) {
+	stream := benchStream()
+	run := func(b *testing.B, fresh bool) {
+		h := skylakeHierarchy()
+		if !fresh {
+			for i, a := range stream {
+				h.Access(a, int64(i))
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % len(stream)
+			if k == 0 && fresh && i > 0 {
+				h = skylakeHierarchy()
+			}
+			h.Access(stream[k], int64(i))
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/access")
+	}
+	b.Run("fresh", func(b *testing.B) { run(b, true) })
+	b.Run("warmed", func(b *testing.B) { run(b, false) })
 }

@@ -171,7 +171,8 @@ const cancelCheckCycles = 4096
 // NewCoreFromSource builds a core consuming the instruction stream. meta may
 // be nil (unannotated program). The source is drained incrementally; peak
 // buffering is bounded by the in-flight span and reported in
-// Stats.WindowPeak.
+// Stats.WindowPeak. The caches start empty and allocate storage per set as
+// the run touches them, so a core costs its footprint, not its geometry.
 func NewCoreFromSource(cfg Config, src emulator.TraceSource, meta *compiler.Meta) *Core {
 	c := &Core{}
 	c.resetShell(cfg, src, meta)
@@ -199,10 +200,11 @@ func NewCoreFromSource(cfg Config, src emulator.TraceSource, meta *compiler.Meta
 // NewCoreFromSource would be after running the warming that produced ws.
 // ws must come from a core with the same cache and predictor geometry as
 // cfg. A zero Core is a valid receiver. A used one keeps its storage — the
-// entry pool, window chunks, completion wheel, queue capacity, the cache
-// overlay buffers and the predictor, RAS and prefetcher tables, which ws is
-// copied into — so a detailed sample window on a recycled core allocates
-// nothing once the storage has grown to the window's needs. The caches are
+// entry pool, window chunks, completion wheel, queue capacity, the caches'
+// set indexes and storage chunks and the predictor, RAS and prefetcher
+// tables, which ws is copied into — so a detailed sample window on a
+// recycled core allocates nothing once the storage has grown to the
+// window's needs. The caches are
 // installed as copy-on-write clones over ws's frozen hierarchies: a window
 // touches a tiny fraction of the warmed lower levels, so sharing the capture
 // and materializing touched sets lazily replaces a per-window copy. ws must

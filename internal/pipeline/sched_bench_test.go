@@ -71,6 +71,20 @@ func BenchmarkCommitPolicy(b *testing.B) {
 	}
 }
 
+// BenchmarkNewCore reports what building a core costs before its first
+// Step: the caches, predictor and prefetcher tables, the window and queues.
+func BenchmarkNewCore(b *testing.B) {
+	tr, meta := benchTrace(b)
+	cfg := SkylakeConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newCoreSink = NewCore(cfg, tr, meta)
+	}
+}
+
+var newCoreSink *Core
+
 // TestStepSteadyStateZeroAlloc is the tentpole's allocation contract: with
 // tracing and sanitizing disabled, a warmed core's Step performs zero heap
 // allocations under every policy — entries come from the pool, completions
@@ -193,7 +207,9 @@ leaf:
 
 // resetStateDiff names the first piece of long-lived state in which two
 // freshly reset cores differ, or returns "". Storage capacity may differ;
-// contents may not.
+// contents may not. Cache clones are canonical (their form depends only on
+// what is cached), so comparing them compares contents, not the order in
+// which the two cores touched their sets.
 func resetStateDiff(a, b *Core) string {
 	switch {
 	case !reflect.DeepEqual(a.dcache.Clone(), b.dcache.Clone()):

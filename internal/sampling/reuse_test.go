@@ -92,22 +92,31 @@ func TestRecycledEstimateDeterminism(t *testing.T) {
 	}
 }
 
-// cancelAtNthDone is a context that cancels itself the n-th time anyone asks
-// for its Done channel. Each functional-warming span asks once when it
-// starts, so n = 2 cancels the warm replay deterministically between its
-// first and second representative.
-type cancelAtNthDone struct {
+// cancelWhen is a context that cancels itself at the first poll of its Done
+// channel at which when() holds: the cancellation lands at a point of
+// observable progress, however often the code under test polls.
+type cancelWhen struct {
 	context.Context
 	cancel context.CancelFunc
-	n      int32
-	calls  atomic.Int32
+	when   func() bool
+	fired  atomic.Bool
 }
 
-func (c *cancelAtNthDone) Done() <-chan struct{} {
-	if c.calls.Add(1) == c.n {
+func (c *cancelWhen) Done() <-chan struct{} {
+	if !c.fired.Load() && c.when() && c.fired.CompareAndSwap(false, true) {
 		c.cancel()
 	}
 	return c.Context.Done()
+}
+
+// published reports whether e's replay has published representative i.
+func published(e *warmEntry, i int) bool {
+	select {
+	case <-e.ready[i]:
+		return true
+	default:
+		return false
+	}
 }
 
 // TestWarmReplayCancel: cancelling an estimate while its warm replay runs
@@ -129,14 +138,26 @@ func TestWarmReplayCancel(t *testing.T) {
 	}
 	cfg := policyCfg(pipeline.Noreba)
 
+	// Cancel once the replay has published the first representative's
+	// capture, and note whether it had already published the last.
+	var lastDone bool
 	inner, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctx := &cancelAtNthDone{Context: inner, cancel: cancel, n: 2}
+	ctx := &cancelWhen{Context: inner, cancel: cancel, when: func() bool {
+		pl.warmMu.Lock()
+		e := pl.warm[warmKeyOf(cfg)]
+		pl.warmMu.Unlock()
+		if e == nil || !published(e, 0) {
+			return false
+		}
+		lastDone = published(e, len(pl.Reps)-1)
+		return true
+	}}
 	_, err = pl.EstimateContextN(ctx, cfg, res.Meta, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled estimate returned %v, want an error wrapping context.Canceled", err)
 	}
-	if ctx.calls.Load() < 2 {
+	if !ctx.fired.Load() || lastDone {
 		t.Fatal("the replay never reached its second span: the cancellation was not mid-replay")
 	}
 	pl.warmMu.Lock()

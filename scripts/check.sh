@@ -92,13 +92,15 @@ done
 
 # Fuzz smoke: a short budget per native fuzz target. Regressions in the
 # encode/decode round trip or the compiler pass tend to surface within
-# seconds; longer campaigns run out-of-band.
-go test ./internal/isa -run '^$' -fuzz 'FuzzEncodeDecodeRoundTrip$' -fuzztime 10s
-go test ./internal/compiler -run '^$' -fuzz 'FuzzCompilerPass$' -fuzztime 10s
-go test ./internal/emulator -run '^$' -fuzz 'FuzzBroadcastSkew$' -fuzztime 10s
-go test ./internal/workgen -run '^$' -fuzz 'FuzzGeneratedDifferential$' -fuzztime 10s
-go test ./internal/tracefile -run '^$' -fuzz 'FuzzTraceRoundTrip$' -fuzztime 10s
-go test ./internal/sampling -run '^$' -fuzz 'FuzzPlanFile$' -fuzztime 10s
+# seconds; longer campaigns run out-of-band. Minimizing a newly found input
+# may take up to -fuzzminimizetime (default 60s) and executes nothing new
+# meanwhile, so the bound keeps each smoke fuzzing for its whole budget.
+go test ./internal/isa -run '^$' -fuzz 'FuzzEncodeDecodeRoundTrip$' -fuzztime 10s -fuzzminimizetime 1s
+go test ./internal/compiler -run '^$' -fuzz 'FuzzCompilerPass$' -fuzztime 10s -fuzzminimizetime 1s
+go test ./internal/emulator -run '^$' -fuzz 'FuzzBroadcastSkew$' -fuzztime 10s -fuzzminimizetime 1s
+go test ./internal/workgen -run '^$' -fuzz 'FuzzGeneratedDifferential$' -fuzztime 10s -fuzzminimizetime 1s
+go test ./internal/tracefile -run '^$' -fuzz 'FuzzTraceRoundTrip$' -fuzztime 10s -fuzzminimizetime 1s
+go test ./internal/sampling -run '^$' -fuzz 'FuzzPlanFile$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Throughput regression guard: capture the committed engine baseline BEFORE
 # the bench run rewrites BENCH_engine.json, then fail if the fresh suite
