@@ -32,7 +32,9 @@ func generatedNames(t *testing.T) []string {
 // correctness contract: fifty fresh points in the character space — far
 // beyond the pinned registry entries — each simulate under every commit
 // policy, sanitized, and must retire exactly the architectural trace with
-// bit-identical final state. FuzzGeneratedDifferential explores the same
+// bit-identical final state; a plain run, which fast-forwards the idle
+// cycles the sanitized one steps through, must produce the same Stats,
+// per-branch stalls included. FuzzGeneratedDifferential explores the same
 // invariant adversarially; this test guarantees a wide deterministic sweep on
 // every plain `go test` run.
 func TestGeneratedDifferentialSuite(t *testing.T) {
@@ -78,6 +80,14 @@ func TestGeneratedDifferentialSuite(t *testing.T) {
 				}
 				if got.PC != ref.PC || got.Halted != ref.Halted {
 					t.Errorf("under %v: control state diverged", pk)
+				}
+				cfg.Sanitize = false
+				plain, err := pipeline.NewCoreFromSource(cfg, emulator.NewSource(emulator.New(res.Image), budget), res.Meta).Run()
+				if err != nil {
+					t.Fatalf("under %v, plain: %v", pk, err)
+				}
+				if !reflect.DeepEqual(plain, st) {
+					t.Errorf("under %v: plain Stats differ from the sanitized run's:\nplain:     %+v\nsanitized: %+v", pk, *plain, *st)
 				}
 			}
 		})

@@ -32,6 +32,7 @@ import (
 // oldest instruction that still pins each policy's commit boundary, the
 // window's commit and memory frontiers moved only when the record at one
 // commits or records load behind it, and a cycle-indexed completion wheel.
+// A cycle in which nothing can happen is fast-forwarded (see Step).
 // The ready and candidate sets are ordered by dispatchOrder — the order
 // the old code scanned the ROB slice in — so cycle-level behaviour is
 // bit-identical; every ordered set is an O(1) ring with a membership
@@ -86,6 +87,13 @@ type Core struct {
 	// at commit time.
 	candQ    entrySet
 	candMode candMode
+	// walk holds the eligibility rules of the policy's candidate walk.
+	walk walkRules
+	// memWait holds the armed memory ops and fences of a memory-ordered
+	// walk that are not yet on the memory frontier, keyed by trace index:
+	// they cannot retire until every older one has, so they join candQ
+	// only when a commit moves the frontier onto them (see candArm).
+	memWait entrySet
 
 	// Policy-selected incremental boundary trackers (see deques in sched.go).
 	needBlockers bool     // NonSpecOoO
@@ -136,24 +144,53 @@ type Core struct {
 	san     *sanitizer
 	sanErr  *sanity.Error
 
+	// Idle-cycle fast-forward (see Step). activity counts the events that
+	// can change what a later cycle does: commits, live completions,
+	// issues, dispatches, fetched records, fetch bubbles, icache accesses
+	// and Selective ROB steers. idleSteps counts the consecutive full steps
+	// that moved it not at all; after two, the cycles [idleFrom, idleUntil)
+	// are fast-forwarded: each adds idleDelta to the counters and charges
+	// idleStall (the oldest unresolved branch's record, or nil) one stall
+	// cycle. The fast path itself only advances the clock; flushIdle adds
+	// the skipped cycles' counts in one go before anything reads them.
+	// skipIdle is off where something outside the core's own events can
+	// change a cycle: the sanitizer and trace sink (which observe every
+	// cycle), a fence gate and shared memory (other cores' state).
+	activity   int64
+	idleSteps  int
+	skipIdle   bool
+	idleFrom   int64
+	idleUntil  int64
+	idleBefore idleCounters
+	idleDelta  idleCounters
+	idleStall  *BranchStall
+
 	stats Stats
 }
 
-// candMode selects which event inserts an instruction into the commit-
-// candidate queue — the earliest event after which the policy's eligibility
-// test could ever pass for it.
+// walkRules are the commit conditions a candidate walk applies (see
+// eligible and depSatisfied).
+type walkRules struct {
+	memOrder, completion, dep bool
+}
+
+// candMode selects the event that arms an instruction as a commit candidate
+// — the earliest event after which the policy's eligibility test could ever
+// pass for it. Under a memory-ordered walk (walkRules.memOrder) an armed
+// memory op or fence joins candQ only once it is on the memory frontier
+// (candArm).
 type candMode uint8
 
 const (
 	// candNone: the policy does not walk candidates (InOrder commits from
 	// the ROB head, Noreba from its commit queues).
 	candNone candMode = iota
-	// candCompletion: Condition-1 policies (NonSpecOoO). Everything inserts
-	// at writeback; ECL loads additionally at issue (they may retire on
-	// translation alone).
+	// candCompletion: Condition-1 policies (NonSpecOoO). Everything arms at
+	// the commit stage of its completion cycle; ECL loads arm at issue
+	// (they may retire on translation alone).
 	candCompletion
 	// candRelaxed: relaxed-Condition-1 policies (IdealReconv, SpecBR, Spec).
-	// Non-memory, non-control instructions insert at dispatch, memory ops at
+	// Non-memory, non-control instructions arm at dispatch, memory ops at
 	// issue (translation), control transfers at resolution.
 	candRelaxed
 )
@@ -280,6 +317,7 @@ func (c *Core) resetShell(cfg Config, src emulator.TraceSource, meta *compiler.M
 	c.storeQueue = old.storeQueue[:0]
 	c.readyQ = old.readyQ.cleared()
 	c.candQ = old.candQ.cleared()
+	c.memWait = old.memWait.cleared()
 	c.committedResidents = old.committedResidents[:0]
 	c.liveBranches = old.liveBranches.cleared()
 	c.unresolvedBranches = old.unresolvedBranches.cleared()
@@ -290,19 +328,23 @@ func (c *Core) resetShell(cfg Config, src emulator.TraceSource, meta *compiler.M
 	switch cfg.Policy {
 	case NonSpecOoO:
 		c.candMode = candCompletion
+		c.walk = walkRules{memOrder: true, completion: true}
 		c.needBlockers = true
 	case IdealReconv:
 		c.candMode = candRelaxed
+		c.walk = walkRules{memOrder: true, dep: true}
 		c.needTransMem = true
 		c.needUnmarked = true
 	case SpecBR:
 		c.candMode = candRelaxed
+		c.walk = walkRules{memOrder: true}
 		c.needTransMem = true
 	case Spec:
 		c.candMode = candRelaxed
 	case Noreba:
 		c.needUnmarked = true
 	}
+	c.skipIdle = !cfg.Sanitize && cfg.TraceSink == nil && cfg.FenceGate == nil
 	c.stats.Name = src.Name()
 	c.stats.Policy = cfg.Policy.String()
 	if cfg.TraceSink != nil {
@@ -324,6 +366,7 @@ func NewCore(cfg Config, tr *emulator.Trace, meta *compiler.Meta) *Core {
 // called before the first Step.
 func (c *Core) UseMemory(dcache, icache *cache.Hierarchy) {
 	c.dcache, c.icache, c.ownsMem = dcache, icache, false
+	c.skipIdle = false
 }
 
 // Done reports whether every stream instruction has committed: the commit
@@ -332,7 +375,29 @@ func (c *Core) Done() bool { return !c.win.ensure(c.win.frontier) }
 
 // Step advances the core by one cycle. The multicore system interleaves
 // Step calls across cores; single-core callers use Run.
+//
+// A cycle in which nothing happens is not simulated stage by stage. Once two
+// consecutive steps have changed nothing (activity did not move), the next
+// cycle that can differ is the next event: a completion in the wheel, the
+// end of a fetch stall, the fetch-queue head becoming dispatchable, or a
+// divider freeing up. Every time-dependent condition the stages test is one
+// of those, or a translation that lands the cycle after its issue (already
+// past two idle steps later), so each cycle before that event would repeat
+// the second idle step exactly. Those steps only advance the clock, and
+// flushIdle adds the second step's counter deltas for all of them at once;
+// the event's own cycle runs in full.
 func (c *Core) Step() {
+	if c.cycle < c.idleUntil {
+		c.cycle++
+		return
+	}
+	if c.idleFrom < c.idleUntil {
+		c.flushIdle()
+	}
+	activity := c.activity
+	if c.idleSteps == 1 {
+		c.idleBefore.readFrom(&c.stats)
+	}
 	c.stepCommit()
 	c.stepComplete()
 	c.stepIssue()
@@ -355,6 +420,101 @@ func (c *Core) Step() {
 	if c.san != nil {
 		c.san.endCycle(c)
 	}
+	if c.skipIdle {
+		c.noteIdle(activity)
+	}
+}
+
+// noteIdle tracks consecutive idle steps and arms the fast-forward after the
+// second: it records that step's counter deltas and the stall charge, and
+// fast-forwards every cycle before the next event. A fast-forward ends with
+// the count at zero, so the event cycle and the one after it are both run
+// in full before the next one is armed.
+func (c *Core) noteIdle(activity int64) {
+	if c.activity != activity {
+		c.idleSteps = 0
+		return
+	}
+	c.idleSteps++
+	if c.idleSteps < 2 {
+		return
+	}
+	var after idleCounters
+	after.readFrom(&c.stats)
+	c.idleDelta = after.minus(&c.idleBefore)
+	c.idleStall = nil
+	if b := c.oldestUnresolvedBranch(); b != nil {
+		c.idleStall = c.stats.BranchStalls[b.pc]
+	}
+	c.idleFrom, c.idleUntil = c.cycle, c.nextEvent()
+	if c.idleUntil > c.cycle {
+		c.idleSteps = 0
+	} else {
+		c.idleSteps = 1 // this step counts as the first of the next pair
+	}
+}
+
+// flushIdle adds the counts of the fast-forwarded cycles not yet counted.
+func (c *Core) flushIdle() {
+	n := min(c.cycle, c.idleUntil) - c.idleFrom
+	if n <= 0 {
+		return
+	}
+	for i, p := range c.stats.idleFields() {
+		*p += n * c.idleDelta[i]
+	}
+	if c.idleStall != nil {
+		c.idleStall.StallCycles += n
+	}
+	c.idleFrom += n
+}
+
+// nextEvent returns the first cycle at or after the current one at which a
+// stage can act without another stage acting first: the earliest non-empty
+// completion-wheel bucket, the end of a fetch stall, the cycle the
+// fetch-queue head becomes dispatchable, or a divider's busy-until cycle.
+// The search looks one wheel horizon ahead at most; an idle stretch longer
+// than that is re-armed at its end.
+func (c *Core) nextEvent() int64 {
+	next := c.cycle + int64(len(c.wheel.buckets))
+	for _, t := range [...]int64{c.fetchStalledUntil, c.intDivBusyUntil, c.fpDivBusyUntil} {
+		if t >= c.cycle && t < next {
+			next = t
+		}
+	}
+	if e := c.ifq.front(); e != nil && e.dispatchable >= c.cycle && e.dispatchable < next {
+		next = e.dispatchable
+	}
+	return c.wheel.nextBusy(c.cycle, next)
+}
+
+// idleCounters are the Stats counters that still move in a cycle in which
+// nothing happens: the occupancy integrals, the phase cycle counts and the
+// stall tallies.
+type idleCounters [14]int64
+
+// idleFields lists s's idle counters in idleCounters order.
+func (s *Stats) idleFields() [14]*int64 {
+	return [14]*int64{
+		&s.ROBOccupancy, &s.PRCQOcc, &s.BRCQOcc,
+		&s.WindowCycles, &s.ReplayCycles, &s.NormalCycles,
+		&s.StallROB, &s.StallIQ, &s.StallLQ, &s.StallSQ, &s.StallRegs,
+		&s.SteerStalls, &s.CITFullStalls, &s.CQTFullStalls,
+	}
+}
+
+func (k *idleCounters) readFrom(s *Stats) {
+	for i, p := range s.idleFields() {
+		k[i] = *p
+	}
+}
+
+func (k *idleCounters) minus(before *idleCounters) idleCounters {
+	var d idleCounters
+	for i := range k {
+		d[i] = k[i] - before[i]
+	}
+	return d
 }
 
 // SanityErr returns the first invariant violation the sanitizer detected, or
@@ -385,6 +545,7 @@ func (c *Core) emit(kind trace.Kind, e *Entry) {
 
 // Finalize snapshots end-of-run statistics; Run calls it automatically.
 func (c *Core) Finalize() *Stats {
+	c.flushIdle()
 	c.stats.Cycles = c.cycle
 	c.stats.L1DAccesses = c.dcache.Levels[0].Accesses
 	c.stats.L1DMisses = c.dcache.Levels[0].Misses
@@ -697,6 +858,46 @@ func (c *Core) candInsert(e *Entry) {
 	c.candQ.insert(e.dispatchOrder, e)
 }
 
+// candArm makes e a commit candidate at the event that lets it pass (see
+// candMode). Under a memory-ordered walk a memory op or fence can pass only
+// on the memory frontier, so one that is not there waits in memWait until
+// the commit that moves the frontier onto it (armFrontier). Arming an
+// entry that is already armed does nothing.
+func (c *Core) candArm(e *Entry) {
+	if e.inCand {
+		return
+	}
+	if c.walk.memOrder && (e.isMem() || e.isFence()) && e.idx != c.win.memFrontier {
+		if c.memWait.get(int64(e.idx)) != e {
+			c.memWait.insert(int64(e.idx), e)
+		}
+		return
+	}
+	c.candInsert(e)
+}
+
+// armFrontier moves the waiting memory op or fence the memory frontier now
+// sits on, if any, into candQ.
+func (c *Core) armFrontier() {
+	k := int64(c.win.memFrontier)
+	if e := c.memWait.get(k); e != nil {
+		c.memWait.remove(k)
+		c.candInsert(e)
+	}
+}
+
+// armCompleting arms, at the commit stage of their completion cycle, the
+// entries a completion-requiring walk could first retire then: their
+// doneAt <= cycle test passes before the completion event itself fires
+// later in the cycle, so waiting for writeback would be a cycle late.
+func (c *Core) armCompleting() {
+	for _, ref := range c.wheel.peek(c.cycle) {
+		if e := ref.e; ref.live() && !e.squashed && !e.committed {
+			c.candArm(e)
+		}
+	}
+}
+
 // wakeConsumers credits every consumer waiting on e (which just completed or
 // was squashed); consumers whose last outstanding operand this was become
 // issue-ready.
@@ -755,6 +956,12 @@ func (c *Core) residentCutoff(boundary int64) int64 {
 // ---- commit ----
 
 func (c *Core) stepCommit() {
+	if c.candMode == candCompletion {
+		c.armCompleting()
+	}
+	if c.san != nil {
+		c.san.beforeWalk(c)
+	}
 	n := c.policy.commit(c, c.cycle, c.cfg.CommitWidth)
 	if n == 0 {
 		// Attribute the stall to the oldest unresolved branch, if any
@@ -786,6 +993,7 @@ func (c *Core) commitEntry(e *Entry) {
 	if c.san != nil {
 		c.san.onCommit(c, e)
 	}
+	c.activity++
 	e.committed = true
 	e.committedAt = c.cycle
 	if e.idx != c.win.frontier {
@@ -801,6 +1009,9 @@ func (c *Core) commitEntry(e *Entry) {
 	// The record is resident throughout the step that commits the entry
 	// (release happens at end of Step), so the cached pointer is still good.
 	c.win.commit(e.rec, e.idx)
+	if c.memWait.len() > 0 && (e.isMem() || e.isFence()) {
+		c.armFrontier()
+	}
 
 	if e.inCand {
 		c.candQ.remove(e.dispatchOrder)
@@ -1037,6 +1248,7 @@ func (c *Core) stepComplete() {
 		if !ref.live() || e.squashed {
 			continue
 		}
+		c.activity++
 		e.done = true
 		if c.traceOn {
 			c.emit(trace.KindWriteback, e)
@@ -1154,6 +1366,7 @@ func (c *Core) recover(b *Entry) {
 	// truncate. The blocker deques purge squashed references mid-deque.
 	c.readyQ.purgeSquashed()
 	c.candQ.purgeSquashed()
+	c.memWait.purgeSquashed()
 	c.liveBranches.truncateAbove(b.seq)
 	c.unresolvedBranches.truncateAbove(b.seq)
 	if c.needUnmarked {
@@ -1266,6 +1479,7 @@ func (c *Core) stepIssue() {
 		}
 
 		c.readyQ.remove(e.dispatchOrder)
+		c.activity++
 		e.inReady = false
 		e.issued = true
 		e.issuedAt = c.cycle
@@ -1287,19 +1501,19 @@ func (c *Core) stepIssue() {
 		}
 		c.wheel.schedule(c.cycle, e)
 
-		// Issue is the event that arms eligibility: memory ops translate the
-		// cycle after issue (relaxed policies), and under Condition 1 every
-		// retirement requires completion, whose doneAt <= cycle test can
-		// first pass at the commit stage of the completion cycle — before
-		// the completion event itself fires — so waiting for writeback
-		// would be one cycle late.
+		// Issue arms the memory ops of the relaxed policies (they translate
+		// the cycle after issue) and, under Condition 1, ECL loads (they may
+		// retire on translation alone); everything else a Condition-1 walk
+		// retires is armed at its completion cycle (armCompleting).
 		switch c.candMode {
 		case candRelaxed:
 			if e.isMem() {
-				c.candInsert(e)
+				c.candArm(e)
 			}
 		case candCompletion:
-			c.candInsert(e)
+			if c.cfg.ECL && e.class == opLoad {
+				c.candArm(e)
+			}
 		}
 	}
 }
@@ -1381,6 +1595,7 @@ func (c *Core) stepDispatch() {
 		}
 
 		c.ifq.popFront()
+		c.activity++
 		e.dispatched = true
 		e.dispatchOrder = c.nextDispatchOrder
 		c.nextDispatchOrder++
@@ -1432,7 +1647,7 @@ func (c *Core) stepDispatch() {
 		// Non-memory, non-control instructions are commit candidates from
 		// dispatch under the relaxed policies (no completion condition).
 		if c.candMode == candRelaxed && !e.isMem() && !e.isCondBranch() && !e.isJalr() {
-			c.candInsert(e)
+			c.candArm(e)
 		}
 		if e.waits == 0 {
 			c.readyInsert(e)
@@ -1484,6 +1699,9 @@ func (c *Core) stepFetch() {
 		c.pendingBubbles--
 		slots--
 	}
+	// Burnt bubbles and the instruction-cache access each change what a
+	// later fetch does; the records fetched below change everything else.
+	c.activity++
 	if slots == 0 {
 		return
 	}

@@ -163,6 +163,7 @@ func (p *norebaPolicy) steer(c *Core, cycle int64) bool {
 		p.queues[q].push(e)
 		c.robOcc--
 		c.stats.Steered++
+		c.activity++
 		steered++
 	}
 	return false

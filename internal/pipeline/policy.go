@@ -103,10 +103,19 @@ const noBoundary = int64(1) << 62
 
 // commitCandidates is the candidate-queue walk shared by the out-of-order
 // policies: in dispatch order, it retires up to width candidates that pass
-// eligible (and depSatisfied when dep is set), stopping at the first
-// candidate at or past boundary — or past a committed resident there (see
-// residentCutoff) — and honouring commitStep's skip-successor rule.
-func (c *Core) commitCandidates(cycle int64, width int, boundary int64, memOrder, completion, dep bool) int {
+// the walk's rules (c.walk: eligible, plus depSatisfied when dep is set),
+// stopping at the first candidate at or past boundary — or past a committed
+// resident there (see residentCutoff) — and honouring commitStep's
+// skip-successor rule.
+//
+// candQ holds only entries past the event that lets them pass (candArm), so
+// the walk skips the rest without examining them. That leaves its outcome
+// unchanged: a skipped entry could not retire this cycle; if it is the
+// committed entry's ROB successor, stepping to the next candidate lands
+// where the skip rule would have; and if it sits at or past the boundary,
+// so does every later candidate (dispatch order is age order among
+// uncommitted entries), so the walk breaks at the next one instead.
+func (c *Core) commitCandidates(cycle int64, width int, boundary int64) int {
 	residentCut := noBoundary
 	if boundary != noBoundary {
 		residentCut = c.residentCutoff(boundary)
@@ -117,7 +126,7 @@ func (c *Core) commitCandidates(cycle int64, width int, boundary int64, memOrder
 			break
 		}
 		k, skip := e.dispatchOrder, false
-		if c.eligible(e, cycle, memOrder, completion) && (!dep || depSatisfied(c, e)) {
+		if c.eligible(e, cycle, c.walk.memOrder, c.walk.completion) && (!c.walk.dep || depSatisfied(c, e)) {
 			skip = c.commitStep(e) // removes e from candQ
 			n++
 		}
@@ -136,7 +145,7 @@ func (c *Core) commitCandidates(cycle int64, width int, boundary int64, memOrder
 type nonSpecPolicy struct{ basePolicy }
 
 func (nonSpecPolicy) commit(c *Core, cycle int64, width int) int {
-	return c.commitCandidates(cycle, width, c.nonSpecBoundary(cycle), true, true, false)
+	return c.commitCandidates(cycle, width, c.nonSpecBoundary(cycle))
 }
 
 // idealReconvPolicy commits with Noreba's compiler information but an ideal
@@ -146,7 +155,7 @@ func (nonSpecPolicy) commit(c *Core, cycle int64, width int) int {
 type idealReconvPolicy struct{ basePolicy }
 
 func (idealReconvPolicy) commit(c *Core, cycle int64, width int) int {
-	return c.commitCandidates(cycle, width, c.memTrapBoundary(cycle), true, false, true)
+	return c.commitCandidates(cycle, width, c.memTrapBoundary(cycle))
 }
 
 // depSatisfied checks the compiler-dependence commit condition shared by
@@ -190,7 +199,7 @@ func (e *Entry) mispredictPending() bool { return e.mispredicted && !e.resolved 
 type specBRPolicy struct{ basePolicy }
 
 func (specBRPolicy) commit(c *Core, cycle int64, width int) int {
-	return c.commitCandidates(cycle, width, c.memTrapBoundary(cycle), true, false, false)
+	return c.commitCandidates(cycle, width, c.memTrapBoundary(cycle))
 }
 
 // specPolicy is Figure 1's fully speculative oracle: completed instructions
@@ -198,5 +207,5 @@ func (specBRPolicy) commit(c *Core, cycle int64, width int) int {
 type specPolicy struct{ basePolicy }
 
 func (specPolicy) commit(c *Core, cycle int64, width int) int {
-	return c.commitCandidates(cycle, width, noBoundary, false, false, false)
+	return c.commitCandidates(cycle, width, noBoundary)
 }

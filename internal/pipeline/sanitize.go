@@ -20,8 +20,9 @@ import (
 // lists, committed-resident set and commit boundaries must contain, and
 // cross-checks the maintained versions against the from-scratch answer.
 //
-// The checker has two hook points: onCommit validates each retirement at the
-// moment it happens (commit legality is a property of that instant), and
+// The checker has three hook points: onCommit validates each retirement at
+// the moment it happens (commit legality is a property of that instant),
+// beforeWalk checks the commit-candidate set at the commit stage, and
 // endCycle recounts structural state once per cycle. The first violation is
 // recorded as a *sanity.Error on the core and fails the run.
 //
@@ -208,6 +209,39 @@ func (s *sanitizer) onCommit(c *Core, e *Entry) {
 	}
 }
 
+// beforeWalk checks, at the commit stage just before the policy's walk, the
+// two properties the candidate walk relies on. sched/cand-complete: every
+// uncommitted entry that passes the walk's rules this cycle is in candQ —
+// the walk never examines anything else, so an entry armed late retires
+// late. (Fences are skipped under a fence gate: asking it registers an
+// arrival at the barrier.) sched/cand-order: candQ's dispatch order is age
+// order, which the walk's boundary break relies on. The ROB list is in
+// dispatch order and endCycle checks that inCand marks exactly candQ's
+// members, so one walk over the list checks both.
+func (s *sanitizer) beforeWalk(c *Core) {
+	if c.candMode == candNone {
+		return
+	}
+	cyc := c.cycle
+	last := int64(-1)
+	for e := c.robHead; e != nil; e = e.robNext {
+		switch {
+		case e.inCand:
+			if e.seq <= last {
+				c.fail(sanity.At("sched/cand-order", cyc, e.pc, e.Seq(),
+					"candidate seq %d follows seq %d in dispatch order", e.seq, last))
+				return
+			}
+			last = e.seq
+		case e.committed || e.isFence() && c.cfg.FenceGate != nil:
+		case c.eligible(e, cyc, c.walk.memOrder, c.walk.completion) && (!c.walk.dep || depSatisfied(c, e)):
+			c.fail(sanity.At("sched/cand-complete", cyc, e.pc, e.Seq(),
+				"entry passes the %s walk's rules but is not a commit candidate", c.cfg.Policy))
+			return
+		}
+	}
+}
+
 // endCycle recounts structural state from the in-flight set and cross-checks
 // the core's incremental bookkeeping. The ROB list is the complete universe
 // of dispatched, un-squashed, not-yet-drained entries (steered NOREBA entries
@@ -272,10 +306,10 @@ func (s *sanitizer) endCycle(c *Core) {
 	// re-derived on the same 16-cycle stride as the arena cross-check (a
 	// corrupted ring stays corrupted, so the stride loses no coverage).
 	if cyc&15 == 0 {
-		for i, set := range [...]*entrySet{&c.readyQ, &c.candQ, &c.liveBranches, &c.unresolvedBranches, &c.unmarkedUnresolved} {
+		for i, set := range [...]*entrySet{&c.readyQ, &c.candQ, &c.memWait, &c.liveBranches, &c.unresolvedBranches, &c.unmarkedUnresolved} {
 			if msg := set.check(); msg != "" {
 				c.fail(sanity.Errorf("sched/set-storage", cyc, "%s set: %s",
-					[...]string{"ready", "candidate", "live-branch", "unresolved-branch", "unmarked-unresolved"}[i], msg))
+					[...]string{"ready", "candidate", "memory-wait", "live-branch", "unresolved-branch", "unmarked-unresolved"}[i], msg))
 				return
 			}
 		}
@@ -287,7 +321,7 @@ func (s *sanitizer) endCycle(c *Core) {
 	// One walk over the ROB list: ordering, occupancy recount, and the
 	// from-scratch re-derivation of every scheduler structure.
 	robCount, robOcc, iqOcc, lqOcc, physUsed := 0, 0, 0, 0, 0
-	nReady, nCand, nResident := 0, 0, 0
+	nReady, nCand, nWait, nResident := 0, 0, 0, 0
 	liveBr, unresBr, unmarked := 0, 0, 0
 	lastSeq, lastOrder := int64(-1), int64(-1)
 	for e := c.robHead; e != nil; e = e.robNext {
@@ -386,27 +420,31 @@ func (s *sanitizer) endCycle(c *Core) {
 		}
 
 		// Commit-candidate membership: derived from the entry's class and
-		// progress alone (see candMode).
-		wantCand := false
+		// progress and the memory frontier alone (see candMode and candArm).
+		armed := false
 		if !e.committed {
 			switch c.candMode {
 			case candRelaxed:
 				switch {
 				case e.isCondBranch() || e.isJalr():
-					wantCand = e.resolved
+					armed = e.resolved
 				case e.isMem():
-					wantCand = e.issued
+					armed = e.issued
 				default:
-					wantCand = true
+					armed = true
 				}
 			case candCompletion:
-				wantCand = e.issued
+				armed = e.issued && (e.doneAt <= cyc || c.cfg.ECL && e.class == opLoad)
 			}
+		}
+		wantCand, wantWait := armed, false
+		if armed && c.walk.memOrder && (e.isMem() || e.isFence()) && e.idx != c.win.memFrontier {
+			wantCand, wantWait = false, true
 		}
 		if e.inCand != wantCand {
 			c.fail(sanity.At("sched/cand-membership", cyc, e.pc, e.Seq(),
-				"inCand=%t but derivation says %t (committed=%t issued=%t resolved=%t done=%t)",
-				e.inCand, wantCand, e.committed, e.issued, e.resolved, e.done))
+				"inCand=%t but derivation says %t (committed=%t issued=%t resolved=%t done=%t memFrontier=%d)",
+				e.inCand, wantCand, e.committed, e.issued, e.resolved, e.done, c.win.memFrontier))
 			return
 		}
 		if e.inCand {
@@ -416,6 +454,15 @@ func (s *sanitizer) endCycle(c *Core) {
 					"inCand entry missing from the candidate set at dispatch order %d", e.dispatchOrder))
 				return
 			}
+		}
+		if waiting := c.memWait.get(int64(e.idx)) == e; waiting != wantWait {
+			c.fail(sanity.At("sched/mem-wait", cyc, e.pc, e.Seq(),
+				"in memory-wait set=%t but derivation says %t (issued=%t memFrontier=%d)",
+				waiting, wantWait, e.issued, c.win.memFrontier))
+			return
+		}
+		if wantWait {
+			nWait++
 		}
 
 		// Committed residents: exactly the committed entries still on the
@@ -486,6 +533,10 @@ func (s *sanitizer) endCycle(c *Core) {
 	case nCand != c.candQ.len():
 		c.fail(sanity.Errorf("sched/cand-count", cyc,
 			"candidate set holds %d entries but %d ROB entries are candidates", c.candQ.len(), nCand))
+		return
+	case nWait != c.memWait.len():
+		c.fail(sanity.Errorf("sched/mem-wait", cyc,
+			"memory-wait set holds %d entries but %d ROB entries wait for the memory frontier", c.memWait.len(), nWait))
 		return
 	case nResident != len(c.committedResidents):
 		c.fail(sanity.Errorf("sched/resident-count", cyc,

@@ -132,6 +132,46 @@ func TestSanitizerCatchesFrontierRegression(t *testing.T) {
 	assertViolation(t, c.SanityErr(), "frontier/monotonic")
 }
 
+// stepUntilCandidate runs the core until fn picks a member of the
+// commit-candidate set, and returns it.
+func stepUntilCandidate(t *testing.T, c *Core, fn func(*Entry) bool) *Entry {
+	t.Helper()
+	for i := 0; i < 10000 && !c.Done(); i++ {
+		for e := c.candQ.first(); e != nil; e = c.candQ.after(e.dispatchOrder) {
+			if fn(e) {
+				return e
+			}
+		}
+		c.Step()
+	}
+	t.Fatal("no candidate matched")
+	return nil
+}
+
+// TestSanitizerCatchesMissingCandidate: a retirable entry missing from the
+// candidate set would retire late, so the next commit stage must flag it as
+// sched/cand-complete before the walk runs.
+func TestSanitizerCatchesMissingCandidate(t *testing.T) {
+	tr, meta := buildTrace(t, mlpKernel(16), true)
+	c := NewCore(sanConfig(Spec), tr, meta)
+	e := stepUntilCandidate(t, c, func(e *Entry) bool { return c.eligible(e, c.cycle, false, false) })
+	c.candQ.remove(e.dispatchOrder)
+	e.inCand = false
+	c.Step()
+	assertViolation(t, c.SanityErr(), "sched/cand-complete")
+}
+
+// TestSanitizerCatchesCandidateDisorder: the walk's boundary break assumes
+// the candidate set's dispatch order is age order (sched/cand-order).
+func TestSanitizerCatchesCandidateDisorder(t *testing.T) {
+	tr, meta := buildTrace(t, mlpKernel(16), true)
+	c := NewCore(sanConfig(SpecBR), tr, meta)
+	e := stepUntilCandidate(t, c, func(e *Entry) bool { return e != c.candQ.first() })
+	e.seq = -1
+	c.Step()
+	assertViolation(t, c.SanityErr(), "sched/cand-order")
+}
+
 // TestSanitizerCatchesDoubleCommit: retiring an already-committed entry is a
 // lifecycle violation, reported from the onCommit hook.
 func TestSanitizerCatchesDoubleCommit(t *testing.T) {

@@ -131,6 +131,21 @@ func (w *complWheel) take(cycle int64) []entryRef {
 	return b
 }
 
+// peek returns the bucket for cycle without emptying it.
+func (w *complWheel) peek(cycle int64) []entryRef { return w.buckets[cycle&w.mask] }
+
+// nextBusy returns the first cycle in [from, limit) whose bucket holds an
+// event — possibly a stale one, which only ends an idle stretch early — or
+// limit. limit must lie at most one horizon past from.
+func (w *complWheel) nextBusy(from, limit int64) int64 {
+	for t := from; t < limit; t++ {
+		if len(w.buckets[t&w.mask]) > 0 {
+			return t
+		}
+	}
+	return limit
+}
+
 // grow re-hashes every pending event into a wheel at least until cycles
 // past now. Stale references are dropped in passing.
 func (w *complWheel) grow(now, until int64) {

@@ -12,6 +12,7 @@ import (
 	"github.com/noreba-sim/noreba/internal/compiler"
 	"github.com/noreba-sim/noreba/internal/emulator"
 	"github.com/noreba-sim/noreba/internal/program"
+	"github.com/noreba-sim/noreba/internal/workloads"
 )
 
 // The microbenchmarks share one long MLP-kernel trace: enough iterations
@@ -68,6 +69,51 @@ func BenchmarkStepIssue(b *testing.B) { benchSteps(b, Spec) }
 func BenchmarkCommitPolicy(b *testing.B) {
 	for _, pk := range allPolicies {
 		b.Run(pk.String(), func(b *testing.B) { benchSteps(b, pk) })
+	}
+}
+
+// BenchmarkRunWorkload times whole runs of two memory-bound workloads at
+// the quick figure scale (mcf and astar, half their default scale), from a
+// fresh core to the last commit, under each commit policy. It reports host
+// time per simulated cycle and per committed instruction. Unlike the MLP
+// kernel's steady-state Step above, a run includes the long memory stalls
+// whose idle cycles the core fast-forwards and the candidate walks of a
+// real instruction mix, so ns/inst is what a figure pays per instruction.
+func BenchmarkRunWorkload(b *testing.B) {
+	for _, name := range []string{"mcf", "astar"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := compiler.Compile(w.Build(w.DefaultScale/2), compiler.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, err := emulator.New(res.Image).Run(1 << 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			for _, pk := range allPolicies {
+				b.Run(pk.String(), func(b *testing.B) {
+					cfg := SkylakeConfig()
+					cfg.Policy = pk
+					var cycles, insts int64
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						st, err := NewCore(cfg, tr, res.Meta).Run()
+						if err != nil {
+							b.Fatal(err)
+						}
+						cycles += st.Cycles
+						insts += st.Committed
+					}
+					ns := float64(b.Elapsed().Nanoseconds())
+					b.ReportMetric(ns/float64(cycles), "ns/cycle")
+					b.ReportMetric(ns/float64(insts), "ns/inst")
+				})
+			}
+		})
 	}
 }
 

@@ -20,9 +20,11 @@ var fuzzPolicies = []pipeline.PolicyKind{
 // ANY point in the character space must produce a program whose cycle-level
 // simulation — under every commit policy, sanitized, ECL on and off for the
 // NOREBA policy — retires exactly the architectural trace and leaves
-// bit-identical architectural state. The fuzzer owns the axis mapping, so it
-// explores interactions (deep nests × critical branches × store pressure)
-// no hand-picked table covers.
+// bit-identical architectural state, and whose plain (unsanitized) run
+// produces the same Stats, per-branch stalls included: the plain core
+// fast-forwards the idle cycles the sanitized one steps through. The fuzzer
+// owns the axis mapping, so it explores interactions (deep nests × critical
+// branches × store pressure) no hand-picked table covers.
 func FuzzGeneratedDifferential(f *testing.F) {
 	// One seed per character-axis extreme, plus an everything-maxed point.
 	f.Add(uint64(1), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(10))     // all axes minimal
@@ -80,6 +82,15 @@ func FuzzGeneratedDifferential(f *testing.F) {
 			}
 			if got.PC != ref.PC || got.Halted != ref.Halted {
 				t.Errorf("%s under %s: control state diverged", p.Name(), variant)
+			}
+			cfg.Sanitize = false
+			plain, err := pipeline.NewCoreFromSource(cfg, emulator.NewSource(emulator.New(res.Image), budget), res.Meta).Run()
+			if err != nil {
+				t.Fatalf("%s under %s, plain: %v", p.Name(), variant, err)
+			}
+			if !reflect.DeepEqual(plain, st) {
+				t.Errorf("%s under %s: plain Stats differ from the sanitized run's:\nplain:     %+v\nsanitized: %+v",
+					p.Name(), variant, *plain, *st)
 			}
 		}
 		for _, pk := range fuzzPolicies {

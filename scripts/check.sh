@@ -3,9 +3,8 @@
 #
 # Order matters: cheap static checks first, then the full race-enabled test
 # suite with a coverage gate on the core packages, then short fuzz smokes,
-# then a single iteration of the engine benchmarks so a regression in figure
-# wall-clock or the parallel scheduler shows up in CI output (and refreshes
-# BENCH_engine.json).
+# then the engine benchmarks so a regression in figure wall-clock or the
+# parallel scheduler shows up in CI output (and refreshes BENCH_engine.json).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -119,7 +118,13 @@ if [ -z "$emu_baseline" ]; then
 	exit 1
 fi
 
-go test -run '^$' -bench 'BenchmarkFigure6$|BenchmarkEngineSuite$' -benchtime=1x -benchmem .
+go test -run '^$' -bench 'BenchmarkFigure6$' -benchtime=1x -benchmem .
+
+# The engine suite gets three iterations and records the fastest, like the
+# sampled suite below: one iteration on an unchanged tree read anywhere from
+# 2.6 to 3.6 s on a shared 2-vCPU host, so a single sample cannot carry a
+# +20% guard.
+go test -run '^$' -bench 'BenchmarkEngineSuite$' -benchtime=3x -benchmem .
 
 # The sampled suite gets three iterations: its timed loops take min-over-
 # iterations, and on a shared box a single iteration is noisy enough to trip
