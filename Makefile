@@ -48,8 +48,10 @@ serve-smoke:
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
-# Short fuzz campaigns for the native targets.
+# Short fuzz campaigns for the native targets, from an empty fuzz cache so
+# each budget fuzzes instead of replaying earlier runs' inputs.
 fuzz:
+	go clean -fuzzcache
 	go test ./internal/isa -run '^$$' -fuzz 'FuzzEncodeDecodeRoundTrip$$' -fuzztime 10s -fuzzminimizetime 1s
 	go test ./internal/compiler -run '^$$' -fuzz 'FuzzCompilerPass$$' -fuzztime 10s -fuzzminimizetime 1s
 	go test ./internal/emulator -run '^$$' -fuzz 'FuzzBroadcastSkew$$' -fuzztime 10s -fuzzminimizetime 1s

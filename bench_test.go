@@ -285,9 +285,8 @@ func BenchmarkSampledSuite(b *testing.B) {
 
 	var sampled, fullOnly []string
 	probe := QuickRunner()
-	probe.Sampling = DefaultSampling()
 	for _, name := range probe.Workloads {
-		pl, err := probe.Plan(ctx, name)
+		pl, err := probe.Plan(ctx, name, DefaultSampling())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/noreba-sim/noreba/internal/experiments"
+	"github.com/noreba-sim/noreba/internal/sampling"
 	"github.com/noreba-sim/noreba/internal/service"
 	"github.com/noreba-sim/noreba/internal/workgen"
 	"github.com/noreba-sim/noreba/internal/workloads"
@@ -202,7 +203,7 @@ func TestClusterSweepAcceptance(t *testing.T) {
 			t.Errorf("row %d (%s %s %s rob=%d) differs from solo runner:\n got %s\nwant %s",
 				i, row.Workload, row.Core, row.Policy, row.Window, row.Stats, want)
 		}
-		if row.Hash != solo.ConfigHash(q.Workload, q.Config) {
+		if row.Hash != solo.ConfigHash(q.Workload, q.Config, sampling.Params{}) {
 			t.Errorf("row %d hash %s != solo hash", i, row.Hash)
 		}
 	}
@@ -257,6 +258,53 @@ func TestClusterSweepAcceptance(t *testing.T) {
 	}
 	if !probed {
 		t.Log("no (replica, key) pair qualified for the peer-fetch probe; skipped")
+	}
+}
+
+// TestClusterSweepSampled: a sampled sweep of the acceptance workloads on
+// the default core returns every row byte-identical to a solo runner's
+// sampled estimate under the same hash, and the fleet builds exactly one
+// sampling plan per workload however many rows share it.
+func TestClusterSweepSampled(t *testing.T) {
+	reps := startCluster(t, 3)
+	req := acceptanceGrid()
+	req.Cores = nil
+	req.Sample = true
+
+	res := doSweep(t, reps[0].url, req, nil)
+	if len(res.rows) != 12 || res.done.Points != 12 || res.done.Errors != 0 || res.done.Degraded {
+		t.Fatalf("done = %+v with %d rows", res.done, len(res.rows))
+	}
+	var plans int64
+	for _, rep := range reps {
+		plans += rep.runner.PlansBuilt()
+	}
+	if plans != int64(len(req.Workloads)) {
+		t.Errorf("fleet built %d sampling plans for %d workloads", plans, len(req.Workloads))
+	}
+
+	solo := quickRunner()
+	for i := 0; i < 12; i++ {
+		row, ok := res.rows[i]
+		if !ok {
+			t.Fatalf("row %d missing", i)
+		}
+		q, err := rowConfig(sweepRow{Index: row.Index, Workload: row.Workload, Core: row.Core, Policy: row.Policy, Window: row.Window}, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := solo.SimulateSampledContext(context.Background(), q.Workload, q.Config, sampling.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(st)
+		if !bytes.Equal(row.Stats, want) {
+			t.Errorf("row %d (%s %s rob=%d) differs from solo sampled estimate:\n got %s\nwant %s",
+				i, row.Workload, row.Policy, row.Window, row.Stats, want)
+		}
+		if row.Hash != solo.ConfigHash(q.Workload, q.Config, sampling.Default()) {
+			t.Errorf("row %d hash %s != solo sampled hash", i, row.Hash)
+		}
 	}
 }
 

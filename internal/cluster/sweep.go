@@ -46,9 +46,9 @@ type SweepRequest struct {
 	ECL      *bool `json:"ecl,omitempty"`
 	Prefetch *bool `json:"prefetch,omitempty"`
 	Sanitize bool  `json:"sanitize,omitempty"`
-	// Sample runs every point as a SimPoint-style sampled estimate.
-	// Sampled points skip the broadcast-bus batching (the sampling plan
-	// already amortises the functional pass) but still shard by workload.
+	// Sample runs every point as a SimPoint-style sampled estimate. A
+	// workload's sampled points share one sampling plan instead of a
+	// broadcast emulation, and still shard by workload.
 	Sample bool `json:"sample,omitempty"`
 	// TimeoutSec bounds the whole sweep; expired sweeps end with an error
 	// line. 0 means no deadline beyond the client's connection.
@@ -187,8 +187,9 @@ func expandSweep(req SweepRequest, maxPoints int) ([]sweepRow, error) {
 	return rows, nil
 }
 
-// rowConfig resolves one grid point into a pipeline config via the same
-// path as POST /jobs, then applies the window override.
+// rowConfig resolves one grid point into a request via the same path as
+// POST /jobs, then applies the window override and the sweep's sampling
+// mode.
 func rowConfig(row sweepRow, req SweepRequest) (experiments.Request, error) {
 	sub := service.SubmitRequest{Workload: row.Workload, Policy: row.Policy, Core: row.Core, Prefetch: req.Prefetch, Sanitize: req.Sanitize}
 	if req.ECL != nil {
@@ -201,7 +202,11 @@ func rowConfig(row sweepRow, req SweepRequest) (experiments.Request, error) {
 	if row.Window > 0 {
 		cfg.ROBSize = row.Window
 	}
-	return experiments.Request{Workload: row.Workload, Config: cfg}, nil
+	q := experiments.Request{Workload: row.Workload, Config: cfg}
+	if req.Sample {
+		q.Sampling = sampling.Default()
+	}
+	return q, nil
 }
 
 // sweepEmitter serialises JSONL line writes and tracks settled rows for
@@ -384,9 +389,8 @@ func groupByWorkload(rows []sweepRow) []sweepGroup {
 
 // runGroupLocal executes one workload group on this replica's runner,
 // emitting each row as it settles and skipping rows that already settled
-// (degraded reruns). Full-detail groups go through RunRequestsStream so the
-// whole group shares one functional emulation; sampled groups run
-// per-request (the sampling plan amortises the functional pass instead).
+// (degraded reruns). The whole group goes through one RunRequestsStream:
+// full-detail rows share one functional emulation, sampled rows one plan.
 func (n *Node) runGroupLocal(ctx context.Context, g sweepGroup, req SweepRequest, emit *sweepEmitter) {
 	var pending []sweepRow
 	for _, row := range g.rows {
@@ -403,31 +407,14 @@ func (n *Node) runGroupLocal(ctx context.Context, g sweepGroup, req SweepRequest
 		// a programming error surfaced as a row error below.
 		reqs[i], _ = rowConfig(row, req)
 	}
-
-	emitRow := func(i int, stats json.RawMessage, err error) {
-		row := pending[i]
-		msg := sweepRowMsg{Type: "row", Index: row.Index, Workload: row.Workload, Core: row.Core, Policy: row.Policy, Window: row.Window, Hash: n.rowHash(reqs[i], req.Sample), Stats: stats}
+	n.runner.RunRequestsStream(ctx, reqs, func(i int, st *pipeline.Stats, err error) {
+		row, q := pending[i], reqs[i]
+		msg := sweepRowMsg{Type: "row", Index: row.Index, Workload: row.Workload, Core: row.Core, Policy: row.Policy, Window: row.Window,
+			Hash: n.runner.ConfigHash(q.Workload, q.Config, q.Sampling), Stats: marshalStats(st, err)}
 		if err != nil {
 			msg.Error = err.Error()
 		}
 		emit.row(msg)
-	}
-
-	if req.Sample {
-		var wg sync.WaitGroup
-		for i := range reqs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				st, err := n.runner.SimulateSampledContext(ctx, reqs[i].Workload, reqs[i].Config, sampling.Default())
-				emitRow(i, marshalStats(st, err), err)
-			}(i)
-		}
-		wg.Wait()
-		return
-	}
-	n.runner.RunRequestsStream(ctx, reqs, func(i int, st *pipeline.Stats, err error) {
-		emitRow(i, marshalStats(st, err), err)
 	})
 }
 
@@ -442,14 +429,6 @@ func marshalStats(st *pipeline.Stats, err error) json.RawMessage {
 		return nil
 	}
 	return b
-}
-
-// rowHash is the row's persistent-store key under this replica's runner.
-func (n *Node) rowHash(q experiments.Request, sample bool) string {
-	if sample {
-		return n.runner.ConfigHashSampled(q.Workload, q.Config, sampling.Default())
-	}
-	return n.runner.ConfigHash(q.Workload, q.Config)
 }
 
 // forwardGroup POSTs one workload group to its owning replica and relays

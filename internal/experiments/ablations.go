@@ -26,16 +26,16 @@ func (r *Runner) AblationCIT() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var reqs []simReq
+	var reqs []Request
 	for _, name := range names {
-		reqs = append(reqs, simReq{workload: name, cfg: skylake(pipeline.InOrder)})
+		reqs = append(reqs, Request{Workload: name, Config: skylake(pipeline.InOrder)})
 		for _, size := range sizes {
 			cfg := skylake(pipeline.Noreba)
 			cfg.Selective.CITSize = size
-			reqs = append(reqs, simReq{workload: name, cfg: cfg})
+			reqs = append(reqs, Request{Workload: name, Config: cfg})
 		}
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, err
 	}
 	var vals []float64
@@ -69,11 +69,11 @@ func (r *Runner) AblationLoopMarking() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var reqs []simReq
+	var reqs []Request
 	for _, name := range names {
-		reqs = append(reqs, simReq{workload: name, cfg: skylake(pipeline.Noreba)})
+		reqs = append(reqs, Request{Workload: name, Config: skylake(pipeline.Noreba)})
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, err
 	}
 	tab := metrics.NewTable("Ablation: loop-branch marking (cycles exhaustive / cycles selective)",
@@ -134,11 +134,11 @@ func (r *Runner) AblationBITSize() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var reqs []simReq
+	var reqs []Request
 	for _, name := range names {
-		reqs = append(reqs, simReq{workload: name, cfg: skylake(pipeline.InOrder)})
+		reqs = append(reqs, Request{Workload: name, Config: skylake(pipeline.InOrder)})
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, err
 	}
 	var vals []float64
@@ -187,17 +187,17 @@ func (r *Runner) AblationPredictors() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var reqs []simReq
+	var reqs []Request
 	for _, name := range names {
 		for _, p := range preds {
 			base := skylake(pipeline.InOrder)
 			base.Predictor = p.kind
 			cfg := skylake(pipeline.Noreba)
 			cfg.Predictor = p.kind
-			reqs = append(reqs, simReq{workload: name, cfg: base}, simReq{workload: name, cfg: cfg})
+			reqs = append(reqs, Request{Workload: name, Config: base}, Request{Workload: name, Config: cfg})
 		}
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, err
 	}
 	var vals []float64

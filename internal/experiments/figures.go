@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -14,7 +15,7 @@ import (
 // builder's requests; FigureRequests lets callers batch several figures'
 // requests through one RunRequests pass, so every configuration of a
 // workload shares a single functional emulation across figures.
-var figureReqs = map[string]func(*Runner) ([]simReq, error){
+var figureReqs = map[string]func(*Runner) ([]Request, error){
 	"figure1":  (*Runner).figure1Reqs,
 	"figure6":  (*Runner).figure6Reqs,
 	"figure7":  (*Runner).figure7Reqs,
@@ -44,24 +45,22 @@ func (r *Runner) FigureRequests(figures ...string) ([]Request, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, q := range qs {
-			out = append(out, Request{Workload: q.workload, Config: q.cfg})
-		}
+		out = append(out, qs...)
 	}
 	return out, nil
 }
 
 // speedupReqs lists the requests of a baseline-vs-rows speedup table.
-func (r *Runner) speedupReqs(baseline pipeline.Config, rows []pipeline.Config) ([]simReq, error) {
+func (r *Runner) speedupReqs(baseline pipeline.Config, rows []pipeline.Config) ([]Request, error) {
 	names, err := r.names()
 	if err != nil {
 		return nil, err
 	}
-	var reqs []simReq
+	var reqs []Request
 	for _, name := range names {
-		reqs = append(reqs, simReq{workload: name, cfg: baseline})
+		reqs = append(reqs, Request{Workload: name, Config: baseline})
 		for _, cfg := range rows {
-			reqs = append(reqs, simReq{workload: name, cfg: cfg})
+			reqs = append(reqs, Request{Workload: name, Config: cfg})
 		}
 	}
 	return reqs, nil
@@ -79,7 +78,7 @@ func (r *Runner) speedupTable(title string, baseline pipeline.Config, rows []pip
 	if err != nil {
 		return nil, err
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, err
 	}
 	tab := metrics.NewTable(title, append(append([]string{}, names...), "geomean")...)
@@ -127,7 +126,7 @@ func figure1Rows() []pipeline.Config {
 	}
 }
 
-func (r *Runner) figure1Reqs() ([]simReq, error) {
+func (r *Runner) figure1Reqs() ([]Request, error) {
 	return r.speedupReqs(skylake(pipeline.InOrder), figure1Rows())
 }
 
@@ -150,7 +149,7 @@ func figure6Rows() []pipeline.Config {
 	}
 }
 
-func (r *Runner) figure6Reqs() ([]simReq, error) {
+func (r *Runner) figure6Reqs() ([]Request, error) {
 	return r.speedupReqs(skylake(pipeline.InOrder), figure6Rows())
 }
 
@@ -162,10 +161,10 @@ func (r *Runner) Figure6() (*metrics.Table, error) {
 		skylake(pipeline.InOrder), figure6Rows())
 }
 
-func (r *Runner) figure7Reqs() ([]simReq, error) {
-	return []simReq{
-		{workload: "bzip2", cfg: skylake(pipeline.InOrder)},
-		{workload: "mcf", cfg: skylake(pipeline.InOrder)},
+func (r *Runner) figure7Reqs() ([]Request, error) {
+	return []Request{
+		{Workload: "bzip2", Config: skylake(pipeline.InOrder)},
+		{Workload: "mcf", Config: skylake(pipeline.InOrder)},
 	}, nil
 }
 
@@ -179,7 +178,7 @@ func (r *Runner) Figure7() (*metrics.Scatter, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, err
 	}
 	for _, name := range []string{"bzip2", "mcf"} {
@@ -201,14 +200,14 @@ func (r *Runner) Figure7() (*metrics.Scatter, error) {
 	return sc, nil
 }
 
-func (r *Runner) figure8Reqs() ([]simReq, error) {
+func (r *Runner) figure8Reqs() ([]Request, error) {
 	names, err := r.names()
 	if err != nil {
 		return nil, err
 	}
-	var reqs []simReq
+	var reqs []Request
 	for _, name := range names {
-		reqs = append(reqs, simReq{workload: name, cfg: skylake(pipeline.Noreba)})
+		reqs = append(reqs, Request{Workload: name, Config: skylake(pipeline.Noreba)})
 	}
 	return reqs, nil
 }
@@ -224,7 +223,7 @@ func (r *Runner) Figure8() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, err
 	}
 	tab := metrics.NewTable("Figure 8: dynamic instructions committed out-of-order (NOREBA, SKL)", names...)
@@ -245,23 +244,23 @@ type brcqKnob struct{ queues, entries int }
 
 var figure9Knobs = []brcqKnob{{1, 4}, {1, 8}, {2, 4}, {2, 8}, {2, 16}, {4, 8}, {4, 16}}
 
-func (r *Runner) figure9Reqs() ([]simReq, error) {
+func (r *Runner) figure9Reqs() ([]Request, error) {
 	names, err := r.names()
 	if err != nil {
 		return nil, err
 	}
-	var reqs []simReq
+	var reqs []Request
 	for _, robSize := range []int{224, 128} {
 		for _, name := range names {
 			ideal := skylake(pipeline.IdealReconv)
 			ideal.ROBSize = robSize
-			reqs = append(reqs, simReq{workload: name, cfg: ideal})
+			reqs = append(reqs, Request{Workload: name, Config: ideal})
 			for _, k := range figure9Knobs {
 				cfg := skylake(pipeline.Noreba)
 				cfg.ROBSize = robSize
 				cfg.Selective.NumBRCQs = k.queues
 				cfg.Selective.BRCQSize = k.entries
-				reqs = append(reqs, simReq{workload: name, cfg: cfg})
+				reqs = append(reqs, Request{Workload: name, Config: cfg})
 			}
 		}
 	}
@@ -287,7 +286,7 @@ func (r *Runner) Figure9() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, err
 	}
 
@@ -321,18 +320,18 @@ func (r *Runner) Figure9() (*metrics.Table, error) {
 
 var figure10Knobs = []brcqKnob{{1, 4}, {1, 8}, {2, 4}, {2, 8}, {2, 16}, {4, 8}, {4, 16}, {8, 64}}
 
-func (r *Runner) figure10Reqs() ([]simReq, error) {
+func (r *Runner) figure10Reqs() ([]Request, error) {
 	names, err := r.names()
 	if err != nil {
 		return nil, err
 	}
-	var reqs []simReq
+	var reqs []Request
 	for _, k := range figure10Knobs {
 		for _, name := range names {
 			cfg := skylake(pipeline.Noreba)
 			cfg.Selective.NumBRCQs = k.queues
 			cfg.Selective.BRCQSize = k.entries
-			reqs = append(reqs, simReq{workload: name, cfg: cfg})
+			reqs = append(reqs, Request{Workload: name, Config: cfg})
 		}
 	}
 	return reqs, nil
@@ -356,7 +355,7 @@ func (r *Runner) Figure10() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, err
 	}
 
@@ -388,16 +387,16 @@ func (r *Runner) Figure10() (*metrics.Table, error) {
 	return tab, nil
 }
 
-func (r *Runner) figure11Reqs() ([]simReq, error) {
+func (r *Runner) figure11Reqs() ([]Request, error) {
 	names, err := r.names()
 	if err != nil {
 		return nil, err
 	}
 	perfectCfg := skylake(pipeline.Noreba)
 	perfectCfg.FreeSetup = true
-	var reqs []simReq
+	var reqs []Request
 	for _, name := range names {
-		reqs = append(reqs, simReq{workload: name, cfg: skylake(pipeline.Noreba)}, simReq{workload: name, cfg: perfectCfg})
+		reqs = append(reqs, Request{Workload: name, Config: skylake(pipeline.Noreba)}, Request{Workload: name, Config: perfectCfg})
 	}
 	return reqs, nil
 }
@@ -414,7 +413,7 @@ func (r *Runner) Figure11() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, err
 	}
 	tab := metrics.NewTable("Figure 11: setup-instruction overhead (cycles with setup / cycles perfect)",
@@ -446,17 +445,17 @@ func coreConfigs(policy pipeline.PolicyKind) []pipeline.Config {
 	return []pipeline.Config{nhm, hsw, skl}
 }
 
-func (r *Runner) figure12Reqs() ([]simReq, error) {
+func (r *Runner) figure12Reqs() ([]Request, error) {
 	names, err := r.names()
 	if err != nil {
 		return nil, err
 	}
 	inos := coreConfigs(pipeline.InOrder)
 	norebas := coreConfigs(pipeline.Noreba)
-	var reqs []simReq
+	var reqs []Request
 	for i := range inos {
 		for _, name := range names {
-			reqs = append(reqs, simReq{workload: name, cfg: inos[i]}, simReq{workload: name, cfg: norebas[i]})
+			reqs = append(reqs, Request{Workload: name, Config: inos[i]}, Request{Workload: name, Config: norebas[i]})
 		}
 	}
 	return reqs, nil
@@ -476,7 +475,7 @@ func (r *Runner) Figure12() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, err
 	}
 	var vals []float64
@@ -517,18 +516,18 @@ func figure13Base() pipeline.Config {
 	return nhmBase
 }
 
-func (r *Runner) figure13Reqs() ([]simReq, error) {
+func (r *Runner) figure13Reqs() ([]Request, error) {
 	names, err := r.names()
 	if err != nil {
 		return nil, err
 	}
-	var reqs []simReq
+	var reqs []Request
 	for _, name := range names {
-		reqs = append(reqs, simReq{workload: name, cfg: figure13Base()})
+		reqs = append(reqs, Request{Workload: name, Config: figure13Base()})
 		for _, v := range figure13Variants {
 			for _, core := range coreConfigs(v.policy) {
 				core.PrefetchEnabled = v.prefetch
-				reqs = append(reqs, simReq{workload: name, cfg: core})
+				reqs = append(reqs, Request{Workload: name, Config: core})
 			}
 		}
 	}
@@ -550,7 +549,7 @@ func (r *Runner) Figure13() (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, err
 	}
 	for _, v := range variants {
@@ -586,7 +585,7 @@ func figure14Rows() []pipeline.Config {
 	return []pipeline.Config{inoECL, skylake(pipeline.Noreba), norebaECL}
 }
 
-func (r *Runner) figure14Reqs() ([]simReq, error) {
+func (r *Runner) figure14Reqs() ([]Request, error) {
 	return r.speedupReqs(skylake(pipeline.InOrder), figure14Rows())
 }
 
@@ -605,7 +604,7 @@ func figure15Rows() []pipeline.Config {
 	return []pipeline.Config{wide, skylake(pipeline.Noreba)}
 }
 
-func (r *Runner) figure15Reqs() ([]simReq, error) {
+func (r *Runner) figure15Reqs() ([]Request, error) {
 	return r.speedupReqs(skylake(pipeline.InOrder), figure15Rows())
 }
 
@@ -617,14 +616,14 @@ func (r *Runner) Figure15() (*metrics.Table, error) {
 		skylake(pipeline.InOrder), figure15Rows())
 }
 
-func (r *Runner) figure16Reqs() ([]simReq, error) {
+func (r *Runner) figure16Reqs() ([]Request, error) {
 	names, err := r.names()
 	if err != nil {
 		return nil, err
 	}
-	var reqs []simReq
+	var reqs []Request
 	for _, name := range names {
-		reqs = append(reqs, simReq{workload: name, cfg: skylake(pipeline.InOrder)}, simReq{workload: name, cfg: skylake(pipeline.Noreba)})
+		reqs = append(reqs, Request{Workload: name, Config: skylake(pipeline.InOrder)}, Request{Workload: name, Config: skylake(pipeline.Noreba)})
 	}
 	return reqs, nil
 }
@@ -648,7 +647,7 @@ func (r *Runner) Figure16() (*metrics.Table, *metrics.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		return nil, nil, err
 	}
 

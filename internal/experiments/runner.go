@@ -78,13 +78,6 @@ type Runner struct {
 	// any commit-legality or conservation violation fails the run with a
 	// *sanity.Error instead of silently producing wrong figures.
 	Sanitize bool
-	// Sampling, when enabled, makes every Simulate call estimate its result
-	// from SimPoint-style sampled simulation (see internal/sampling) instead
-	// of a full detailed run. The normalized parameters are part of the
-	// simulation key and the persistent-store hash, so sampled and full
-	// results of the same configuration never alias. Per-call overrides go
-	// through SimulateSampledContext.
-	Sampling sampling.Params
 	// Store, when non-nil, is consulted before executing a simulation and
 	// updated after one: repeated requests across process restarts become
 	// store hits instead of re-simulations. Set it before the first
@@ -108,7 +101,7 @@ type Runner struct {
 	semOnce sync.Once
 	sem     chan struct{}
 
-	simReqs     atomic.Int64 // Simulate calls (cache hits included)
+	requests    atomic.Int64 // requests received (cache hits included)
 	simsRun     atomic.Int64 // simulations actually executed
 	sampledRuns atomic.Int64 // executed simulations that were sampled estimates
 	plansBuilt  atomic.Int64 // sampling plans built (coalesced/cached excluded)
@@ -269,22 +262,13 @@ type hashedConfig struct {
 
 // ConfigHash returns the canonical content hash identifying one simulation
 // request under this runner: the workload, the runner's scale parameters,
-// every timing-relevant config field and the runner's sampling mode, after
-// the same normalisations Simulate applies. Two requests share a hash if and
-// only if they would produce identical Stats, so the hash is a safe
-// persistent-store key.
-func (r *Runner) ConfigHash(workload string, cfg pipeline.Config) string {
-	return r.ConfigHashSampled(workload, cfg, r.Sampling)
-}
-
-// ConfigHashSampled is ConfigHash under an explicit per-request sampling
-// mode, mirroring SimulateSampledContext.
-func (r *Runner) ConfigHashSampled(workload string, cfg pipeline.Config, p sampling.Params) string {
-	cfg = normalize(cfg)
-	if r.Sanitize {
-		cfg.Sanitize = true
-	}
-	return hashConfig(workload, r.MaxInsts, r.ScaleDiv, cfg, p.Normalize())
+// every timing-relevant config field and the sampling mode (the zero Params
+// for a full run), after the same normalisations RunRequestsStream applies.
+// Two requests share a hash if and only if they would produce identical
+// Stats, so the hash is a safe persistent-store key.
+func (r *Runner) ConfigHash(workload string, cfg pipeline.Config, p sampling.Params) string {
+	cfg, p = r.canonical(cfg, p)
+	return hashConfig(workload, r.MaxInsts, r.ScaleDiv, cfg, p)
 }
 
 func hashConfig(workload string, maxInsts int64, scaleDiv int, cfg pipeline.Config, p sampling.Params) string {
@@ -376,13 +360,13 @@ func (r *Runner) compiled(name string) (*compiler.Result, error) {
 	return j.res, j.err
 }
 
-// Plan returns the sampling plan the runner would use for workload under its
-// configured sampling mode, building (or loading from the plan store) and
-// caching it like SimulateSampledContext does. Callers use it to inspect plan
-// properties — e.g. whether the program is too short to sample (Plan.Full) —
-// without running an estimate.
-func (r *Runner) Plan(ctx context.Context, workload string) (*sampling.Plan, error) {
-	return r.planFor(ctx, workload, r.Sampling.Normalize())
+// Plan returns the sampling plan the runner uses for workload under p,
+// building (or loading from the plan store) and caching it exactly as a
+// sampled request would. Callers use it to inspect plan properties — e.g.
+// whether the program is too short to sample (Plan.Full) — without running
+// an estimate.
+func (r *Runner) Plan(ctx context.Context, workload string, p sampling.Params) (*sampling.Plan, error) {
+	return r.planFor(ctx, workload, p.Normalize())
 }
 
 // planFor returns the sampling plan for (workload, p), building it on first
@@ -525,63 +509,303 @@ func normalize(cfg pipeline.Config) pipeline.Config {
 	return cfg
 }
 
-// Simulate runs (or returns the cached run of) one workload under cfg.
-// Concurrent calls with the same (workload, cfg) coalesce into a single
-// execution; distinct requests proceed in parallel up to the pool size.
-func (r *Runner) Simulate(workload string, cfg pipeline.Config) (*pipeline.Stats, error) {
-	return r.SimulateContext(context.Background(), workload, cfg)
-}
-
-// SimulateContext is Simulate with cooperative cancellation. A caller whose
-// context ends while waiting — for a worker slot, for a coalesced twin, or
-// mid-simulation — returns an error wrapping the context's cause. A
-// cancelled execution is removed from the cache so a later request re-runs
-// it instead of being served the cancellation; other results (including
-// deterministic failures) stay cached.
-func (r *Runner) SimulateContext(ctx context.Context, workload string, cfg pipeline.Config) (*pipeline.Stats, error) {
-	return r.SimulateSampledContext(ctx, workload, cfg, r.Sampling)
-}
-
-// SimulateSampledContext is SimulateContext under an explicit sampling mode,
-// overriding the runner-level Sampling knob for this request: the zero
-// Params forces a full run, an enabled Params a sampled estimate. Sampled
-// and full results of the same configuration live under distinct cache keys
-// and store hashes.
-func (r *Runner) SimulateSampledContext(ctx context.Context, workload string, cfg pipeline.Config, p sampling.Params) (*pipeline.Stats, error) {
-	r.simReqs.Add(1)
+// canonical applies the runner's request normalisations — the policy
+// convention, the runner-wide sanitizer and the sampling defaults — so keys,
+// store hashes and executions all see the same config and Params.
+func (r *Runner) canonical(cfg pipeline.Config, p sampling.Params) (pipeline.Config, sampling.Params) {
 	cfg = normalize(cfg)
 	if r.Sanitize {
 		cfg.Sanitize = true
 	}
-	p = p.Normalize()
-	key := simKey{workload: workload, cfg: keyOf(cfg), sampling: p}
-
-	r.mu.Lock()
-	if j, ok := r.sims[key]; ok {
-		if j.finished && j.elem != nil {
-			r.lru.MoveToFront(j.elem)
-		}
-		r.mu.Unlock()
-		select {
-		case <-j.done:
-			return j.st, j.err
-		case <-ctx.Done():
-			return nil, fmt.Errorf("experiments: %s: %w", workload, context.Cause(ctx))
-		}
-	}
-	j := &simJob{done: make(chan struct{}), key: key}
-	r.sims[key] = j
-	r.mu.Unlock()
-
-	st, err := r.runSim(ctx, workload, cfg, p)
-	r.finishJob(j, st, err)
-	return j.st, j.err
+	return cfg, p.Normalize()
 }
 
-// finishJob records a claimed singleflight job's outcome and publishes it to
-// waiters. A cancellation is not cached — the next identical request should
-// execute — while results and deterministic failures enter the LRU cache.
-func (r *Runner) finishJob(j *simJob, st *pipeline.Stats, err error) {
+// Simulate returns the full-detail run of one workload under cfg: the
+// figures' cache read after their RunRequests pass, or a fresh run.
+func (r *Runner) Simulate(workload string, cfg pipeline.Config) (*pipeline.Stats, error) {
+	return r.SimulateSampledContext(context.Background(), workload, cfg, sampling.Params{})
+}
+
+// SimulateSampledContext runs (or returns the cached run of) one request
+// under an explicit sampling mode — the zero Params for a full run, an
+// enabled Params for a sampled estimate. It is a one-request
+// RunRequestsStream and executes on the caller's goroutine. A caller whose
+// context ends while waiting (for a worker slot, a coalesced twin or the
+// sampling plan) or mid-run gets an error wrapping the context's cause.
+func (r *Runner) SimulateSampledContext(ctx context.Context, workload string, cfg pipeline.Config, p sampling.Params) (st *pipeline.Stats, err error) {
+	r.RunRequestsStream(ctx, []Request{{Workload: workload, Config: cfg, Sampling: p}}, func(_ int, s *pipeline.Stats, e error) {
+		st, err = s, e
+	})
+	return st, err
+}
+
+// Request names one simulation: a workload, a core configuration and a
+// sampling mode, whose zero value means a full detailed run. Callers can
+// gather the requests of several figures (see FigureRequests) and batch them
+// through one RunRequests pass, so every full-detail configuration of a
+// workload shares one functional emulation and every sampled one one plan.
+type Request struct {
+	Workload string
+	Config   pipeline.Config
+	Sampling sampling.Params
+}
+
+// RunRequests runs every request (see RunRequestsStream) and returns the
+// first error after all of them settle. Figures call it to warm the cache,
+// then assemble their tables from guaranteed Simulate hits.
+func (r *Runner) RunRequests(ctx context.Context, reqs []Request) error {
+	return r.RunRequestsStream(ctx, reqs, nil)
+}
+
+// RunRequestsStream is the one way work executes on a runner. claim takes
+// each request's singleflight job or makes the request wait on an identical
+// job that is cached or in flight; the claimed jobs, grouped by (workload,
+// normalized Params), then run one group per goroutine (see execGroup).
+// Results are bit-identical to independent runs: each core consumes the
+// exact solo stream and the model is deterministic.
+//
+// When notify is non-nil, notify(i, st, err) fires exactly once for each
+// reqs[i] as that request settles — from the cache, the persistent store, a
+// solo run, a batched fan-out or a sampled estimate — so callers can stream
+// results as they land. notify may be invoked concurrently from several
+// goroutines, including one still holding a fan-out's worker slot, so it
+// must be safe for that and should not block. Requests cancelled by ctx are
+// notified with an error wrapping the cancellation cause. The first error is
+// returned after every request settles.
+func (r *Runner) RunRequestsStream(ctx context.Context, reqs []Request, notify func(i int, st *pipeline.Stats, err error)) error {
+	var (
+		mu       sync.Mutex
+		firstErr error
+	)
+	settle := func(i int, st *pipeline.Stats, err error) {
+		if err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+		}
+		if notify != nil {
+			notify(i, st, err)
+		}
+	}
+	groups, waits := r.claim(reqs)
+	tasks := make([]func(), 0, len(waits)+len(groups))
+	for _, w := range waits {
+		tasks = append(tasks, func() {
+			select {
+			case <-w.j.done:
+				settle(w.idx, w.j.st, w.j.err)
+			case <-ctx.Done():
+				settle(w.idx, nil, fmt.Errorf("experiments: %s: %w", w.j.key.workload, context.Cause(ctx)))
+			}
+		})
+	}
+	for _, g := range groups {
+		tasks = append(tasks, func() { r.execGroup(ctx, g, settle) })
+	}
+	parallel(tasks)
+	return firstErr
+}
+
+// claimed is one request and its singleflight job: reqs[idx] in the
+// caller's slice, its canonical config, and its store key once looked up.
+type claimed struct {
+	idx  int
+	j    *simJob
+	cfg  pipeline.Config
+	hash string
+}
+
+// group is the claimed jobs of one (workload, normalized Params): the unit
+// that shares one functional emulation (full detail) or one sampling plan.
+type group struct {
+	planKey
+	jobs []claimed
+}
+
+// claim is the runner's one singleflight gate. Under a single lock it keys
+// every request after canonical: a key already cached or in flight makes the
+// request a waiter on that job (a cached job moves to the LRU front);
+// otherwise the request claims a new job, grouped with this call's other
+// claims of the same (workload, Params) in first-appearance order.
+func (r *Runner) claim(reqs []Request) (groups []*group, waits []claimed) {
+	r.requests.Add(int64(len(reqs)))
+	byKey := map[planKey]*group{}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, q := range reqs {
+		cfg, p := r.canonical(q.Config, q.Sampling)
+		key := simKey{workload: q.Workload, cfg: keyOf(cfg), sampling: p}
+		if j, ok := r.sims[key]; ok {
+			if j.finished && j.elem != nil {
+				r.lru.MoveToFront(j.elem)
+			}
+			waits = append(waits, claimed{idx: i, j: j})
+			continue
+		}
+		j := &simJob{done: make(chan struct{}), key: key}
+		r.sims[key] = j
+		gk := planKey{workload: q.Workload, params: p}
+		g := byKey[gk]
+		if g == nil {
+			g = &group{planKey: gk}
+			byKey[gk] = g
+			groups = append(groups, g)
+		}
+		g.jobs = append(g.jobs, claimed{idx: i, j: j, cfg: cfg})
+	}
+	return groups, waits
+}
+
+// execGroup completes one group's claimed jobs. Each job is first looked up
+// in the persistent store, under hashConfig of its canonical request; the
+// rest execute on the worker pool:
+//
+//   - sampled: planFor builds (or loads, or waits for) the group's plan once,
+//     then every job estimates from it on its own goroutine and pool slot;
+//   - full detail, one job: a solo run on its own emulator stream;
+//   - full detail, two or more: one broadcast emulation feeds every job's
+//     core, all on one pool slot (execFanout). The choice follows the group
+//     size because a bus copies every record once more per view.
+func (r *Runner) execGroup(ctx context.Context, g *group, settle func(int, *pipeline.Stats, error)) {
+	var pending []claimed
+	for _, c := range g.jobs {
+		if r.Store != nil {
+			c.hash = hashConfig(g.workload, r.MaxInsts, r.ScaleDiv, c.cfg, g.params)
+			if st, ok := r.Store.Get(c.hash); ok {
+				r.storeHits.Add(1)
+				r.finish(c, st, nil, settle)
+				continue
+			}
+			r.storeMisses.Add(1)
+		}
+		pending = append(pending, c)
+	}
+	if len(pending) == 0 {
+		return
+	}
+	res, err := r.compiled(g.workload)
+	var pl *sampling.Plan
+	if err == nil && g.params.Enabled {
+		pl, err = r.planFor(ctx, g.workload, g.params)
+	}
+	switch {
+	case err != nil:
+		for _, c := range pending {
+			r.finish(c, nil, err, settle)
+		}
+	case pl == nil && len(pending) > 1:
+		r.execFanout(ctx, g.workload, pending, res, settle)
+	default:
+		tasks := make([]func(), len(pending))
+		for i, c := range pending {
+			tasks[i] = func() {
+				st, err := r.execOne(ctx, g.workload, c, res, pl)
+				r.finish(c, st, err, settle)
+			}
+		}
+		parallel(tasks)
+	}
+}
+
+// execOne runs one job on its own worker-pool slot: a solo full-detail run
+// driving its own live emulator through the pipeline's sliding window (no
+// materialized trace; memory is bounded by the in-flight span), or, given a
+// plan, a sampled estimate that simulates only the plan's representative
+// windows under c.cfg.
+func (r *Runner) execOne(ctx context.Context, workload string, c claimed, res *compiler.Result, pl *sampling.Plan) (*pipeline.Stats, error) {
+	if err := r.acquire(ctx); err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", workload, err)
+	}
+	defer r.release()
+	r.simsRun.Add(1)
+	var st *pipeline.Stats
+	var err error
+	if pl != nil {
+		r.sampledRuns.Add(1)
+		// Sampling errors already carry workload/interval/policy
+		// provenance (see sampling.runWindow), so they are not re-wrapped.
+		st, err = pl.EstimateContextN(ctx, c.cfg, res.Meta, r.poolSize())
+	} else {
+		r.emulationsRun.Add(1)
+		src := emulator.NewSource(emulator.New(res.Image), r.MaxInsts)
+		if st, err = pipeline.NewCoreFromSource(c.cfg, src, res.Meta).RunContext(ctx); err != nil {
+			err = fmt.Errorf("%s under %v: %w", workload, c.cfg.Policy, err)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.recordRun(c.hash, st)
+	return st, nil
+}
+
+// execFanout runs N claimed same-workload jobs off one functional emulation:
+// a broadcast bus wraps a single live emulator source and each core consumes
+// its own lockstep view on its own goroutine. The batch holds one worker-pool
+// slot — its goroutines block on each other through the bus skew bound, so
+// giving each a slot could deadlock the pool — and every job is finished
+// individually with the usual store/cache semantics.
+func (r *Runner) execFanout(ctx context.Context, workload string, batch []claimed, res *compiler.Result, settle func(int, *pipeline.Stats, error)) {
+	if err := r.acquire(ctx); err != nil {
+		err = fmt.Errorf("experiments: %s: %w", workload, err)
+		for _, c := range batch {
+			r.finish(c, nil, err, settle)
+		}
+		return
+	}
+	defer r.release()
+	r.emulationsRun.Add(1)
+
+	bus := emulator.NewBroadcast(emulator.NewSource(emulator.New(res.Image), r.MaxInsts), r.BusSkew)
+	tasks := make([]func(), len(batch))
+	for i, c := range batch {
+		view := bus.View()
+		tasks[i] = func() {
+			r.simsRun.Add(1)
+			st, err := pipeline.NewCoreFromSource(c.cfg, view, res.Meta).RunContext(ctx)
+			// An early exit (error, cancellation) must detach the view or its
+			// stalled cursor wedges every sibling on the bus; closing before
+			// finishing also keeps a slow notify off the siblings' path.
+			view.Close()
+			if err != nil {
+				r.finish(c, nil, fmt.Errorf("%s under %v: %w", workload, c.cfg.Policy, err), settle)
+				return
+			}
+			r.recordRun(c.hash, st)
+			r.finish(c, st, nil, settle)
+		}
+	}
+	parallel(tasks)
+	casMax(&r.peakBusRecords, int64(bus.PeakRecords()))
+}
+
+// parallel runs every task concurrently and returns once all have finished.
+// The last task runs on the calling goroutine, so a single task starts no
+// goroutine at all.
+func parallel(tasks []func()) {
+	if len(tasks) == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	for _, t := range tasks[:len(tasks)-1] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t()
+		}()
+	}
+	tasks[len(tasks)-1]()
+	wg.Wait()
+}
+
+// finish records a claimed job's outcome, publishes it to coalesced waiters
+// and settles the request that claimed it. A cancellation is not cached —
+// the next identical request should execute — while results and
+// deterministic failures enter the LRU cache.
+func (r *Runner) finish(c claimed, st *pipeline.Stats, err error, settle func(int, *pipeline.Stats, error)) {
+	j := c.j
 	j.st, j.err = st, err
 	r.mu.Lock()
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
@@ -596,6 +820,7 @@ func (r *Runner) finishJob(j *simJob, st *pipeline.Stats, err error) {
 	}
 	r.mu.Unlock()
 	close(j.done)
+	settle(c.idx, st, err)
 }
 
 // evictLocked trims the finished-run cache to the configured bound, oldest
@@ -621,51 +846,6 @@ func (r *Runner) evictLocked() {
 	}
 }
 
-// runSim executes one simulation on the worker pool, consulting the
-// persistent store first. Each executed run drives its own live emulator
-// through the pipeline's sliding window, so no materialized trace is ever
-// held: per-run memory is bounded by the in-flight span. With sampling
-// enabled the detailed run is replaced by a plan estimate: the plan is built
-// (or reused) once per (workload, Params) and only the representative
-// windows are simulated under cfg.
-func (r *Runner) runSim(ctx context.Context, workload string, cfg pipeline.Config, p sampling.Params) (*pipeline.Stats, error) {
-	var hash string
-	if r.Store != nil {
-		hash = hashConfig(workload, r.MaxInsts, r.ScaleDiv, cfg, p)
-		if st, ok := r.Store.Get(hash); ok {
-			r.storeHits.Add(1)
-			return st, nil
-		}
-		r.storeMisses.Add(1)
-	}
-	res, err := r.compiled(workload)
-	if err != nil {
-		return nil, err
-	}
-	if !p.Enabled {
-		return r.execSolo(ctx, workload, cfg, hash, res)
-	}
-	pl, err := r.planFor(ctx, workload, p)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.acquire(ctx); err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", workload, err)
-	}
-	defer r.release()
-	r.simsRun.Add(1)
-	r.sampledRuns.Add(1)
-	// Sampling errors already carry workload/interval/policy provenance
-	// (see sampling.runWindow), so no re-wrap here — callers used to
-	// stack a second, differently-worded prefix on the same facts.
-	st, err := pl.EstimateContextN(ctx, cfg, res.Meta, r.poolSize())
-	if err != nil {
-		return nil, err
-	}
-	r.recordRun(hash, st)
-	return st, nil
-}
-
 // recordRun folds a finished run into the window high-water mark and
 // writes it to the persistent store, if any, under hash.
 func (r *Runner) recordRun(hash string, st *pipeline.Stats) {
@@ -687,293 +867,9 @@ func casMax(m *atomic.Int64, v int64) {
 	}
 }
 
-// simReq names one simulation for the fan-out helpers. idx is the request's
-// position in the caller's slice, carried through grouping so streaming
-// callers can be notified per original request.
-type simReq struct {
-	workload string
-	cfg      pipeline.Config
-	idx      int
-}
-
-// Request names one simulation for RunRequests: a workload and a core
-// configuration. Callers can gather the requests of several figures (see
-// FigureRequests) and batch them through one scheduling pass, so every
-// configuration of a workload shares a single functional emulation.
-type Request struct {
-	Workload string
-	Config   pipeline.Config
-}
-
-// RunRequests warms the runner's cache with every request, batching
-// same-workload full-detail requests onto a shared broadcast trace bus: one
-// functional emulation feeds all N pipeline cores in lockstep (see
-// emulator.Broadcast). Results are bit-identical to independent Simulate
-// calls — each view delivers the exact solo stream and the model is
-// deterministic — and singleflight/cache/store semantics are preserved, so
-// subsequent Simulate calls are guaranteed hits. The first error is
-// returned after all requests settle.
-func (r *Runner) RunRequests(ctx context.Context, reqs []Request) error {
-	return r.RunRequestsStream(ctx, reqs, nil)
-}
-
-// RunRequestsStream is RunRequests with a per-request completion callback:
-// when notify is non-nil, notify(i, st, err) fires exactly once for each
-// reqs[i] as that request settles — whether from the in-memory cache, the
-// persistent store, a solo run or a batched fan-out — so callers can stream
-// results as they land instead of waiting for the whole batch. notify may be
-// invoked concurrently from several goroutines and must be safe for that;
-// requests cancelled by ctx are notified with the wrapped cancellation
-// cause. Batching, singleflight, cache and store semantics are exactly
-// RunRequests's.
-func (r *Runner) RunRequestsStream(ctx context.Context, reqs []Request, notify func(i int, st *pipeline.Stats, err error)) error {
-	qs := make([]simReq, len(reqs))
-	for i, q := range reqs {
-		qs[i] = simReq{workload: q.Workload, cfg: q.Config, idx: i}
-	}
-	return r.runAllContext(ctx, qs, notify)
-}
-
-// runAll schedules every request and waits for all of them, returning the
-// first error. Figures call it to warm the cache, then assemble their tables
-// from guaranteed hits.
-func (r *Runner) runAll(reqs []simReq) error {
-	return r.runAllContext(context.Background(), reqs, nil)
-}
-
-// runAllContext groups the requests by workload and runs each group's
-// full-detail simulations off one shared functional emulation via the
-// broadcast bus; sampled-mode runners fall back to the per-request path
-// (sampling already amortises the functional pass through its shared plan).
-// notify, when non-nil, is invoked once per request as it settles.
-func (r *Runner) runAllContext(ctx context.Context, reqs []simReq, notify func(i int, st *pipeline.Stats, err error)) error {
-	var firstErr error
-	var mu sync.Mutex
-	noteErr := func(err error) {
-		if err == nil {
-			return
-		}
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	if r.Sampling.Normalize().Enabled {
-		for _, q := range reqs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				st, err := r.SimulateContext(ctx, q.workload, q.cfg)
-				if notify != nil {
-					notify(q.idx, st, err)
-				}
-				noteErr(err)
-			}()
-		}
-		wg.Wait()
-		return firstErr
-	}
-
-	groups := map[string][]simReq{}
-	var order []string
-	for _, q := range reqs {
-		if _, ok := groups[q.workload]; !ok {
-			order = append(order, q.workload)
-		}
-		groups[q.workload] = append(groups[q.workload], q)
-	}
-	for _, w := range order {
-		wg.Add(1)
-		go func(group []simReq) {
-			defer wg.Done()
-			noteErr(r.simulateGroup(ctx, group, notify))
-		}(groups[w])
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// ownedJob is one singleflight job this group claimed and must complete.
-type ownedJob struct {
-	j    *simJob
-	cfg  pipeline.Config
-	hash string
-}
-
-// simulateGroup completes one workload's batch of full-detail requests. It
-// claims each request's singleflight job (or registers as a waiter on a job
-// another caller owns), serves claimed jobs from the persistent store where
-// possible, then runs the remainder: a lone survivor takes the classic solo
-// path, two or more share a single functional emulation through the
-// broadcast bus. Every job is finished with exactly the semantics of
-// SimulateSampledContext, so concurrent Simulate callers observe no
-// difference. notify, when non-nil, fires once per group entry as its job
-// settles (from its own goroutine, so a streaming consumer sees rows as they
-// finish, not when the whole batch does).
-func (r *Runner) simulateGroup(ctx context.Context, group []simReq, notify func(i int, st *pipeline.Stats, err error)) error {
-	workload := group[0].workload
-	p := sampling.Params{}.Normalize() // full-detail runs only reach here
-
-	var owned []ownedJob
-	var waiters []*simJob
-	var notifyWG sync.WaitGroup
-	r.mu.Lock()
-	for _, q := range group {
-		r.simReqs.Add(1)
-		cfg := normalize(q.cfg)
-		if r.Sanitize {
-			cfg.Sanitize = true
-		}
-		key := simKey{workload: workload, cfg: keyOf(cfg), sampling: p}
-		j, have := r.sims[key]
-		if have {
-			if j.finished && j.elem != nil {
-				r.lru.MoveToFront(j.elem)
-			}
-			waiters = append(waiters, j)
-		} else {
-			j = &simJob{done: make(chan struct{}), key: key}
-			r.sims[key] = j
-			owned = append(owned, ownedJob{j: j, cfg: cfg})
-		}
-		if notify != nil {
-			notifyWG.Add(1)
-			go func(idx int, j *simJob) {
-				defer notifyWG.Done()
-				select {
-				case <-j.done:
-					notify(idx, j.st, j.err)
-				case <-ctx.Done():
-					notify(idx, nil, fmt.Errorf("experiments: %s: %w", workload, context.Cause(ctx)))
-				}
-			}(q.idx, j)
-		}
-	}
-	r.mu.Unlock()
-	defer notifyWG.Wait()
-
-	// Serve owned jobs from the persistent store before paying for any
-	// execution; the rest stay pending.
-	pending := owned[:0]
-	for _, o := range owned {
-		if r.Store != nil {
-			o.hash = hashConfig(workload, r.MaxInsts, r.ScaleDiv, o.cfg, p)
-			if st, ok := r.Store.Get(o.hash); ok {
-				r.storeHits.Add(1)
-				r.finishJob(o.j, st, nil)
-				continue
-			}
-			r.storeMisses.Add(1)
-		}
-		pending = append(pending, o)
-	}
-
-	if len(pending) > 0 {
-		res, err := r.compiled(workload)
-		switch {
-		case err != nil:
-			for _, o := range pending {
-				r.finishJob(o.j, nil, err)
-			}
-		case len(pending) == 1:
-			o := pending[0]
-			st, err := r.execSolo(ctx, workload, o.cfg, o.hash, res)
-			r.finishJob(o.j, st, err)
-		default:
-			r.execFanout(ctx, workload, pending, res)
-		}
-	}
-
-	var firstErr error
-	for _, o := range pending {
-		if o.j.err != nil && firstErr == nil {
-			firstErr = o.j.err
-		}
-	}
-	for _, j := range waiters {
-		select {
-		case <-j.done:
-			if j.err != nil && firstErr == nil {
-				firstErr = j.err
-			}
-		case <-ctx.Done():
-			if firstErr == nil {
-				firstErr = fmt.Errorf("experiments: %s: %w", workload, context.Cause(ctx))
-			}
-		}
-	}
-	return firstErr
-}
-
-// execSolo runs one full-detail simulation on its own emulator stream and
-// records it under hash (the store was already consulted): the execution
-// arm shared by runSim and a batch's lone claimed job.
-func (r *Runner) execSolo(ctx context.Context, workload string, cfg pipeline.Config, hash string, res *compiler.Result) (*pipeline.Stats, error) {
-	if err := r.acquire(ctx); err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", workload, err)
-	}
-	defer r.release()
-	r.simsRun.Add(1)
-	r.emulationsRun.Add(1)
-	src := emulator.NewSource(emulator.New(res.Image), r.MaxInsts)
-	st, err := pipeline.NewCoreFromSource(cfg, src, res.Meta).RunContext(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("%s under %v: %w", workload, cfg.Policy, err)
-	}
-	r.recordRun(hash, st)
-	return st, nil
-}
-
-// execFanout runs N claimed same-workload jobs off one functional emulation:
-// a broadcast bus wraps a single live emulator source and each core consumes
-// its own lockstep view on its own goroutine. The batch holds one worker-pool
-// slot — its goroutines block on each other through the bus skew bound, so
-// giving each a slot could deadlock the pool — and every job is finished
-// individually with the usual store/cache semantics.
-func (r *Runner) execFanout(ctx context.Context, workload string, batch []ownedJob, res *compiler.Result) {
-	if err := r.acquire(ctx); err != nil {
-		err = fmt.Errorf("experiments: %s: %w", workload, err)
-		for _, o := range batch {
-			r.finishJob(o.j, nil, err)
-		}
-		return
-	}
-	defer r.release()
-	r.emulationsRun.Add(1)
-
-	bus := emulator.NewBroadcast(emulator.NewSource(emulator.New(res.Image), r.MaxInsts), r.BusSkew)
-	views := make([]*emulator.BusView, len(batch))
-	for i := range batch {
-		views[i] = bus.View()
-	}
-	var wg sync.WaitGroup
-	for i, o := range batch {
-		wg.Add(1)
-		go func(o ownedJob, view *emulator.BusView) {
-			defer wg.Done()
-			// An early exit (error, cancellation) must detach the view or its
-			// stalled cursor wedges every sibling on the bus.
-			defer view.Close()
-			r.simsRun.Add(1)
-			st, err := pipeline.NewCoreFromSource(o.cfg, view, res.Meta).RunContext(ctx)
-			if err != nil {
-				r.finishJob(o.j, nil, fmt.Errorf("%s under %v: %w", workload, o.cfg.Policy, err))
-				return
-			}
-			r.recordRun(o.hash, st)
-			r.finishJob(o.j, st, nil)
-		}(o, views[i])
-	}
-	wg.Wait()
-	casMax(&r.peakBusRecords, int64(bus.PeakRecords()))
-}
-
-// SimulateCalls returns how many Simulate requests the runner has received,
+// SimulateCalls returns how many requests the runner has received,
 // cache hits included.
-func (r *Runner) SimulateCalls() int64 { return r.simReqs.Load() }
+func (r *Runner) SimulateCalls() int64 { return r.requests.Load() }
 
 // SimulationsRun returns how many simulations actually executed (requests
 // minus coalesced, cached and store-served ones).

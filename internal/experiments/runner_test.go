@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -141,13 +142,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reqs []simReq
+	var reqs []Request
 	for _, name := range names {
 		for _, p := range policies {
-			reqs = append(reqs, simReq{workload: name, cfg: skylake(p)})
+			reqs = append(reqs, Request{Workload: name, Config: skylake(p)})
 		}
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"github.com/noreba-sim/noreba/internal/pipeline"
@@ -29,20 +30,20 @@ func TestSuiteSanitized(t *testing.T) {
 	r.Sanitize = true
 	r.MaxInsts = 1 << 17
 
-	var reqs []simReq
+	var reqs []Request
 	for _, name := range mustNames(t, r) {
 		for _, pk := range suitePolicies {
-			reqs = append(reqs, simReq{workload: name, cfg: skylake(pk)})
+			reqs = append(reqs, Request{Workload: name, Config: skylake(pk)})
 		}
 		for _, pk := range []pipeline.PolicyKind{
 			pipeline.Noreba, pipeline.NonSpecOoO, pipeline.IdealReconv, pipeline.SpecBR,
 		} {
 			ecl := skylake(pk)
 			ecl.ECL = true
-			reqs = append(reqs, simReq{workload: name, cfg: ecl})
+			reqs = append(reqs, Request{Workload: name, Config: ecl})
 		}
 	}
-	if err := r.runAll(reqs); err != nil {
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
 		t.Fatalf("sanitized suite reported a violation: %v", err)
 	}
 	if got := r.SimulationsRun(); got < int64(len(reqs)) {

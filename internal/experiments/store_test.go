@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/noreba-sim/noreba/internal/pipeline"
+	"github.com/noreba-sim/noreba/internal/sampling"
 )
 
 // memStore is an in-memory ResultStore with optional fault injection.
@@ -62,11 +63,11 @@ func storeRunner(store ResultStore) *Runner {
 // parameters and any timing-relevant config field.
 func TestConfigHashStability(t *testing.T) {
 	r := storeRunner(nil)
-	base := r.ConfigHash("mcf", quickCfg(pipeline.InOrder))
+	base := r.ConfigHash("mcf", quickCfg(pipeline.InOrder), sampling.Params{})
 	if len(base) != 64 {
 		t.Fatalf("hash %q is not sha256 hex", base)
 	}
-	if again := r.ConfigHash("mcf", quickCfg(pipeline.InOrder)); again != base {
+	if again := r.ConfigHash("mcf", quickCfg(pipeline.InOrder), sampling.Params{}); again != base {
 		t.Error("hash is not deterministic")
 	}
 
@@ -74,27 +75,27 @@ func TestConfigHashStability(t *testing.T) {
 	// explicitly set FreeSetup must not change the InOrder hash.
 	cfg := quickCfg(pipeline.InOrder)
 	cfg.FreeSetup = true
-	if got := r.ConfigHash("mcf", cfg); got != base {
+	if got := r.ConfigHash("mcf", cfg, sampling.Params{}); got != base {
 		t.Error("normalisation not applied before hashing")
 	}
 
 	diffs := map[string]string{
-		"workload": r.ConfigHash("bzip2", quickCfg(pipeline.InOrder)),
-		"policy":   r.ConfigHash("mcf", quickCfg(pipeline.Noreba)),
+		"workload": r.ConfigHash("bzip2", quickCfg(pipeline.InOrder), sampling.Params{}),
+		"policy":   r.ConfigHash("mcf", quickCfg(pipeline.Noreba), sampling.Params{}),
 	}
 	cfg = quickCfg(pipeline.InOrder)
 	cfg.ROBSize++
-	diffs["config field"] = r.ConfigHash("mcf", cfg)
+	diffs["config field"] = r.ConfigHash("mcf", cfg, sampling.Params{})
 
 	r2 := storeRunner(nil)
 	r2.MaxInsts = r.MaxInsts * 2
-	diffs["maxInsts"] = r2.ConfigHash("mcf", quickCfg(pipeline.InOrder))
+	diffs["maxInsts"] = r2.ConfigHash("mcf", quickCfg(pipeline.InOrder), sampling.Params{})
 	r3 := storeRunner(nil)
 	r3.ScaleDiv = r.ScaleDiv * 2
-	diffs["scaleDiv"] = r3.ConfigHash("mcf", quickCfg(pipeline.InOrder))
+	diffs["scaleDiv"] = r3.ConfigHash("mcf", quickCfg(pipeline.InOrder), sampling.Params{})
 	r4 := storeRunner(nil)
 	r4.Sanitize = true
-	diffs["sanitize"] = r4.ConfigHash("mcf", quickCfg(pipeline.InOrder))
+	diffs["sanitize"] = r4.ConfigHash("mcf", quickCfg(pipeline.InOrder), sampling.Params{})
 
 	for what, h := range diffs {
 		if h == base {
@@ -148,14 +149,14 @@ func TestRunnerStorePutFailure(t *testing.T) {
 	}
 }
 
-// TestSimulateContextCancelled: a pre-cancelled context fails fast with the
-// context's cause, and — crucially — the cancellation is NOT cached: the next
+// TestSimulateContextCancelled: a full-detail SimulateSampledContext under a
+// pre-cancelled context fails fast with the context's cause, and — crucially — the cancellation is NOT cached: the next
 // identical request must actually run.
 func TestSimulateContextCancelled(t *testing.T) {
 	r := storeRunner(nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := r.SimulateContext(ctx, "mcf", quickCfg(pipeline.InOrder))
+	_, err := r.SimulateSampledContext(ctx, "mcf", quickCfg(pipeline.InOrder), sampling.Params{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -169,13 +170,13 @@ func TestSimulateContextCancelled(t *testing.T) {
 	}
 }
 
-// TestSimulateContextDeadline: a deadline expiring mid-run cancels the
-// pipeline cooperatively.
+// TestSimulateContextDeadline: a deadline expiring mid-run cancels a
+// full-detail SimulateSampledContext's pipeline cooperatively.
 func TestSimulateContextDeadline(t *testing.T) {
 	r := NewRunner() // full scale, so the deadline always fires first
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, err := r.SimulateContext(ctx, "dijkstra", quickCfg(pipeline.Noreba))
+	_, err := r.SimulateSampledContext(ctx, "dijkstra", quickCfg(pipeline.Noreba), sampling.Params{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -232,7 +232,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	s.nextSeq++
 	j := &Job{
 		id:        fmt.Sprintf("job-%06d", s.nextSeq),
-		hash:      s.runner.ConfigHashSampled(spec.Workload, spec.Config, spec.Sampling),
+		hash:      s.runner.ConfigHash(spec.Workload, spec.Config, spec.Sampling),
 		spec:      spec,
 		seq:       s.nextSeq,
 		state:     StateQueued,
