@@ -96,6 +96,29 @@ func TestRunRequestsStream(t *testing.T) {
 			t.Errorf("request %d (%s %v, sampled %v): streamed stats differ from solo run", i, q.Workload, q.Config.Policy, q.Sampling.Enabled)
 		}
 	}
+
+	// "No warmup, no cooldown" survives the runner's normalizations: the
+	// plan is built under exactly the Params the request is hashed under,
+	// and no representative simulates a detailed warmup or cooldown.
+	none := short
+	none.WarmupIntervals, none.CooldownInsts = -1, -1
+	pl, err := r.Plan(context.Background(), "mcf", none)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Params != none.Normalize() {
+		t.Errorf("plan built under %+v, request normalizes to %+v", pl.Params, none.Normalize())
+	}
+	if pl.Full {
+		t.Fatal("the no-warmup plan did not sample")
+	}
+	for i, rep := range pl.Reps {
+		iv := pl.Profile.Intervals[rep.Interval]
+		if rep.WarmCommits != 0 || rep.WarmStart != iv.Start || rep.SrcBound != iv.Insts {
+			t.Errorf("rep %d: %d warmup commits from %d, bound %d; want a bare interval [%d, +%d)",
+				i, rep.WarmCommits, rep.WarmStart, rep.SrcBound, iv.Start, iv.Insts)
+		}
+	}
 }
 
 // TestRunRequestsStreamCancelled: a cancelled context still notifies every

@@ -208,26 +208,14 @@ const cancelCheckCycles = 4096
 // NewCoreFromSource builds a core consuming the instruction stream. meta may
 // be nil (unannotated program). The source is drained incrementally; peak
 // buffering is bounded by the in-flight span and reported in
-// Stats.WindowPeak. The caches start empty and allocate storage per set as
-// the run touches them, so a core costs its footprint, not its geometry.
+// Stats.WindowPeak. The caches, predictor, prefetcher and RAS start empty,
+// as NewWarmState builds them.
 func NewCoreFromSource(cfg Config, src emulator.TraceSource, meta *compiler.Meta) *Core {
 	c := &Core{}
 	c.resetShell(cfg, src, meta)
-	c.dcache = cfg.hierarchy()
-	c.icache = cfg.icache()
-	c.ownsMem = true
-	c.ras = branchpred.NewRAS(cfg.RASEntries)
-	switch cfg.Predictor {
-	case PredBimodal:
-		c.pred = branchpred.NewBimodal(12)
-	case PredOracle:
-		c.pred = nil // perfect prediction: fetch uses the trace outcome
-	default:
-		c.pred = branchpred.NewTAGE()
-	}
-	if cfg.PrefetchEnabled {
-		c.dcpt = prefetch.New(cfg.PrefetchTable, cfg.PrefetchDegree)
-	}
+	ws := NewWarmState(cfg)
+	c.dcache, c.icache, c.ownsMem = ws.dcache, ws.icache, true
+	c.pred, c.ras, c.dcpt = ws.pred, ws.ras, ws.dcpt
 	return c
 }
 
@@ -558,172 +546,6 @@ func (c *Core) Finalize() *Stats {
 	c.stats.WindowPeak = int64(c.win.peak)
 	c.stats.TraceInsts = c.win.counts().Insts
 	return &c.stats
-}
-
-// warmCancelCheckInsts is how often the functional replays (WarmFunctional,
-// FingerprintFunctional) poll their context: a cancelled replay stops within
-// a fraction of a millisecond instead of finishing a span of up to a
-// million instructions.
-const warmCancelCheckInsts = 1 << 16
-
-// replayCancelled is the functional replays' cancellation poll before their
-// i-th instruction: once done (ctx.Done(), read once per replay; nil for a
-// context that is never cancelled) is closed, it returns an error wrapping
-// ctx's cause.
-func replayCancelled(ctx context.Context, done <-chan struct{}, what string, i int64) error {
-	select {
-	case <-done:
-		return fmt.Errorf("pipeline: %s cancelled after %d instructions: %w", what, i, context.Cause(ctx))
-	default:
-		return nil
-	}
-}
-
-// WarmFunctional drains src through the core's long-lived microarchitectural
-// state — instruction and data caches, prefetcher, branch predictor,
-// return-address stack — without simulating pipeline timing (SMARTS-style
-// functional warming). Sampled simulation uses it to replay the stream
-// prefix before a representative interval at emulator speed, so detailed
-// simulation starts with the cache and predictor contents a full run would
-// have. insts is the number of instructions src will deliver: warming runs
-// on a pseudo-clock that ends at cycle 0, where the detailed window begins.
-// The clock matters at both ends: warming "at cycle 0" would leave every
-// warmed line apparently still in flight, double-charging fill latency
-// against the measurement window, while warming entirely in the distant
-// past would present every recently-missed and prefetched line as already
-// filled — in a continuous run the last ~miss-latency of accesses are still
-// in flight when any window opens, and out-of-order commit exploits the
-// difference. clock maps the i-th delivered instruction (0-based) to its
-// pseudo-cycle; it must be non-decreasing and end at 0. A nil clock
-// advances a nominal 2 cycles per instruction; callers that know the
-// stream's real cycle schedule (the sampler's pilot run) pass it so the
-// in-flight horizon at cycle 0 matches the continuous run's. Must be
-// called before the first Step; cache counters inflated by warming accesses
-// are cancelled by callers differencing statistics across a measurement
-// window. The replay polls ctx every warmCancelCheckInsts instructions and
-// returns an error wrapping its cause once it is cancelled.
-func (c *Core) WarmFunctional(ctx context.Context, src emulator.TraceSource, insts int64, clock func(i int64) int64) error {
-	if clock == nil {
-		const warmCPI = 2 // nominal cycles per instruction
-		clock = func(i int64) int64 { return -warmCPI * (insts - 1 - i) }
-	}
-	// One reused record: the live emulator executes straight into it, so
-	// the replay copies no DynInst per instruction.
-	var d emulator.DynInst
-	done := ctx.Done()
-	// An instruction in the same line as the previous one is a guaranteed
-	// L1i hit (nothing else touches the instruction hierarchy in between),
-	// and a repeated hit changes nothing a window can observe: the line
-	// keeps its LRU rank, and only the uncounted hit tally would move. So
-	// the replay looks up each run of same-line instructions once.
-	lastLine := int64(-1)
-	for i := int64(0); ; i++ {
-		if i%warmCancelCheckInsts == 0 {
-			if err := replayCancelled(ctx, done, "functional warming", i); err != nil {
-				return err
-			}
-		}
-		if !src.NextInto(&d) {
-			return nil
-		}
-		// The pseudo-cycle only matters to cache accesses, so it is computed
-		// only for instructions that make one.
-		pcAddr := int64(d.PC) * 4
-		newLine := pcAddr/cache.LineSize != lastLine
-		isMem := d.Inst.Op.IsMem()
-		var warmCycle int64
-		if newLine || isMem {
-			warmCycle = clock(i)
-		}
-		if newLine {
-			c.icache.Access(pcAddr, warmCycle)
-			lastLine = pcAddr / cache.LineSize
-		}
-		if isMem {
-			c.dcache.Access(d.Addr, warmCycle)
-			// The prefetcher's table is long-lived state too: a detailed
-			// window entered with an untrained prefetcher pays demand misses
-			// the continuous run had already hidden.
-			if c.dcpt != nil {
-				for _, addr := range c.dcpt.Train(d.PC, d.Addr) {
-					c.dcache.Prefetch(addr, warmCycle)
-				}
-			}
-		}
-		switch {
-		case d.Inst.Op.IsCondBranch():
-			if c.pred != nil {
-				c.pred.Predict(d.PC)
-				c.pred.Update(d.PC, d.Taken)
-			}
-		case d.Inst.Op == isa.OpJal:
-			if d.Inst.Rd == isa.RA {
-				c.ras.Push(d.PC + 1)
-			}
-		case d.Inst.Op == isa.OpJalr:
-			c.ras.Pop(d.NextPC)
-		}
-	}
-}
-
-// FingerprintFunctional replays src through the core's memory hierarchy,
-// prefetcher, branch predictor and return-address stack at emulator speed —
-// one pseudo-cycle per instruction, no pipeline model — reporting each
-// instruction's functional timing signals to visit: the data-access latency
-// beyond an L1 hit, and whether a control transfer mispredicted. Sampled
-// simulation uses it to fingerprint per-interval memory and branch
-// behaviour far cheaper than a detailed pilot run; the pseudo-clock
-// compresses time relative to a real pipeline, so the extracted latencies
-// are a phase signature, not a cycle estimate. Must be called on a
-// dedicated Core that is never stepped. Like WarmFunctional, the replay
-// polls ctx every warmCancelCheckInsts instructions and returns an error
-// wrapping its cause once it is cancelled.
-func (c *Core) FingerprintFunctional(ctx context.Context, src emulator.TraceSource, visit func(memExtra int64, mispred bool)) error {
-	var d emulator.DynInst
-	done := ctx.Done()
-	var cycle int64
-	for {
-		if cycle%warmCancelCheckInsts == 0 {
-			if err := replayCancelled(ctx, done, "functional fingerprint", cycle); err != nil {
-				return err
-			}
-		}
-		if !src.NextInto(&d) {
-			return nil
-		}
-		cycle++
-		var memExtra int64
-		mispred := false
-		c.icache.Access(int64(d.PC)*4, cycle)
-		if d.Inst.Op.IsMem() {
-			done := c.dcache.Access(d.Addr, cycle)
-			if extra := done - cycle - c.cfg.L1Lat; extra > 0 {
-				memExtra = extra
-			}
-			if c.dcpt != nil {
-				for _, addr := range c.dcpt.Train(d.PC, d.Addr) {
-					c.dcache.Prefetch(addr, cycle)
-				}
-			}
-		}
-		switch {
-		case d.Inst.Op.IsCondBranch():
-			if c.pred != nil {
-				pred := c.pred.Predict(d.PC)
-				c.pred.Update(d.PC, d.Taken)
-				mispred = pred != d.Taken
-			}
-		case d.Inst.Op == isa.OpJal:
-			if d.Inst.Rd == isa.RA {
-				c.ras.Push(d.PC + 1)
-			}
-		case d.Inst.Op == isa.OpJalr:
-			if _, hit := c.ras.Pop(d.NextPC); !hit {
-				mispred = true
-			}
-		}
-		visit(memExtra, mispred)
-	}
 }
 
 // StatsSnapshot returns a copy of the statistics as of the current cycle,

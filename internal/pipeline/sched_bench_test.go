@@ -182,11 +182,12 @@ leaf:
 `), true)
 	warmN := int64(len(tr.Insts) / 2)
 	capture := func(cfg Config) *WarmState {
-		c := NewCore(cfg, tr, meta)
-		if err := c.WarmFunctional(context.Background(), prefix(tr, warmN).Source(), warmN, nil); err != nil {
+		ws := NewWarmState(cfg)
+		clock := func(i int64) int64 { return 2 * (i + 1 - warmN) } // 2 cycles per instruction, ending at 0
+		if err := ws.Replay(context.Background(), prefix(tr, warmN).Source(), clock, nil); err != nil {
 			t.Fatal(err)
 		}
-		return c.CaptureWarmState()
+		return ws.Capture()
 	}
 	// Two geometries: the test core, and a larger L2 with the prefetcher on
 	// (so the DCPT table comes and goes across resets).

@@ -38,7 +38,7 @@ func TestBuildPlanCancel(t *testing.T) {
 	prof := BuildProfile(emulator.NewSource(emulator.New(res.Image), 1<<20), DefaultIntervalLen)
 	view := emulator.NewBroadcast(emulator.NewSource(emulator.New(res.Image), 1<<20), 0).View()
 	defer view.Close()
-	if _, err := fingerprintDims(inner, view, res.Meta, prof); !errors.Is(err, context.Canceled) {
+	if _, err := fingerprintDims(inner, view, prof); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled fingerprint returned %v, want an error wrapping context.Canceled", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -22,11 +21,11 @@ const maxWindowCycles = 1 << 30
 
 // Rep is one representative interval chosen by clustering: the detailed
 // simulation unit. Its checkpoint holds the architectural state at the
-// start of its warmup span; the measurement window opens once WarmCommits
-// instructions have committed (the warmup is simulated in detail but
-// excluded from measurement) and closes MeasureCommits later, with the
-// stream extended CooldownInsts past the interval so the window closes in
-// steady state rather than against a draining pipeline.
+// start of its detailed warmup span; the measurement window opens once
+// WarmCommits instructions have committed (the warmup is simulated in
+// detail but excluded from measurement) and closes MeasureCommits later,
+// with the stream extended CooldownInsts past the interval so the window
+// closes in steady state rather than against a draining pipeline.
 type Rep struct {
 	// Interval is the represented interval's index in the profile.
 	Interval int
@@ -36,13 +35,10 @@ type Rep struct {
 	// ClusterCommitted is the committed-instruction mass of the cluster.
 	ClusterCommitted int64
 	// WarmStart is the dynamic-instruction index (stream position) where
-	// detailed simulation begins.
+	// detailed simulation begins. Everything before it is functionally
+	// warmed: replayed from program start through the caches and predictor
+	// at emulator speed, never through the pipeline.
 	WarmStart int64
-	// FuncWarmInsts is the functional-warming span immediately before
-	// WarmStart: replayed through the caches and predictor at emulator
-	// speed, never through the pipeline. The checkpoint is captured at
-	// WarmStart − FuncWarmInsts.
-	FuncWarmInsts int64
 	// WarmCommits is the committed-instruction length of the warmup span.
 	WarmCommits int64
 	// MeasureCommits is the committed-instruction length of the measured
@@ -62,34 +58,13 @@ type Rep struct {
 	// cluster-mean-to-representative ratio.
 	PilotRep     []float64
 	PilotCluster []float64
-	// Snap is the architectural state at WarmStart − FuncWarmInsts. On a
-	// plan loaded from v2 bytes it and WarmSnap stay in delta form (see
-	// snapDelta); repSnap and windowSnap return them whole.
-	Snap emulator.Snapshot
-	// WarmSnap is the architectural state at WarmStart itself — the
-	// detailed window's entry point. Estimates restore it directly and
-	// install a cached microarchitectural warm state instead of re-playing
-	// the functional-warming span, so the warm replay is paid once per
+	// WarmSnap is the architectural state at WarmStart — the detailed
+	// window's entry point. Estimates restore it and install a cached
+	// microarchitectural warm state, so the warm replay is paid once per
 	// (plan, cache/predictor geometry) rather than once per representative
-	// per configuration. Snap is retained for the general warming path and
-	// for tools that need the warm span's input stream.
+	// per configuration. On a loaded plan its memory maps hold only the
+	// entries that differ from the image until windowSnap materializes it.
 	WarmSnap emulator.Snapshot
-
-	// snapDelta and warmDelta, when non-nil, mark Snap and WarmSnap as still
-	// holding only the v2 plan file's delta sections (memory entries that
-	// differ from the image) plus the marker's tombstones. A bound plan
-	// materializes them on demand (repSnap, windowSnap). See planfile.go.
-	snapDelta, warmDelta *memDelta
-}
-
-// memDelta carries a v2 delta section's tombstones — image addresses absent
-// from the checkpoint — until the checkpoint is materialized. Plans built by
-// BuildPlan never need them (a machine's memory is a superset of the image's
-// initial data), but the format keeps deletion representable so a delta
-// section is exactly invertible whatever the snapshot's shape.
-type memDelta struct {
-	tombs  []int64
-	ftombs []int64
 }
 
 // Plan is a compiled sampling schedule for one program image: the profile,
@@ -117,7 +92,7 @@ type Plan struct {
 	img     *program.Image
 	imgHash [32]byte // img.ContentHash(), computed once per built plan
 	// windowSnaps holds a loaded plan's WarmSnaps, materialized on first
-	// use (see windowSnap).
+	// use (see windowSnap); nil on a built plan, whose WarmSnaps are whole.
 	windowSnaps []lazySnap
 	maxInsts    int64
 	// warmRate is the pilot run's cycles per delivered instruction for each
@@ -238,26 +213,6 @@ func (c *warmCursor) seek(pos int64) float64 {
 	return c.cum + c.rate*float64(pos-c.lo)
 }
 
-// warmClock builds the functional-warming pseudo-clock for a warm span of n
-// instructions starting at stream position snapAt: the pilot's cycle
-// schedule shifted to end at cycle 0. Returns nil (the caller's nominal
-// default) when the plan has no pilot timing. The clock is O(1) per call
-// when evaluated at non-decreasing i.
-func (pl *Plan) warmClock(snapAt, n int64) func(int64) int64 {
-	if len(pl.warmRate) == 0 {
-		return nil
-	}
-	end := (&warmCursor{pl: pl}).at(snapAt + n)
-	cur := &warmCursor{pl: pl}
-	return func(i int64) int64 {
-		c := int64(cur.at(snapAt+i+1) - end)
-		if c > 0 {
-			c = 0
-		}
-		return c
-	}
-}
-
 // BuildPlan is BuildPlanContext with a background context.
 func BuildPlan(img *program.Image, meta *compiler.Meta, maxInsts int64, p Params) (*Plan, error) {
 	return BuildPlanContext(context.Background(), img, meta, maxInsts, p)
@@ -265,10 +220,10 @@ func BuildPlan(img *program.Image, meta *compiler.Meta, maxInsts int64, p Params
 
 // BuildPlanContext profiles the image's dynamic instruction stream (bounded
 // by maxInsts), clusters its intervals, selects representatives, and
-// captures a checkpoint at each representative's warmup start via a second
-// fast-forward execution pass. The profiling pass must end cleanly: a
-// stream that terminates on a memory exception cannot be sampled (parity
-// with the full-run path, which fails on the same error).
+// captures a checkpoint at each representative's detailed-window start via
+// a second fast-forward execution pass. The profiling pass must end
+// cleanly: a stream that terminates on a memory exception cannot be sampled
+// (parity with the full-run path, which fails on the same error).
 //
 // Clustering runs on each interval's basic-block vector extended with
 // timing columns: its CPI under one detailed pilot run of a fixed in-order
@@ -305,7 +260,7 @@ func BuildPlanContext(ctx context.Context, img *program.Image, meta *compiler.Me
 	if n := len(prof.Intervals); k > n {
 		k = n
 	}
-	perRep := p.IntervalLen*int64(1+p.WarmupIntervals) + p.CooldownInsts
+	perRep := p.IntervalLen*int64(1+p.warmupIntervals()) + p.cooldownInsts()
 	if 2*int64(k)*perRep >= prof.TotalInsts {
 		pl.Full = true
 		return pl, nil
@@ -335,7 +290,7 @@ func BuildPlanContext(ctx context.Context, img *program.Image, meta *compiler.Me
 	go func() {
 		defer close(fpDone)
 		defer fpView.Close()
-		fpDims, fpErr = fingerprintDims(ctx, fpView, meta, prof)
+		fpDims, fpErr = fingerprintDims(ctx, fpView, prof)
 	}()
 	cpi, rate, err := pilotCPI(ctx, pilotView, meta, prof, pilotPolicy)
 	pilotView.Close()
@@ -583,10 +538,7 @@ func selectReps(prof *Profile, vecs [][]float64, assign []int, pilot [][]float64
 				clusterPilot[j] /= float64(clusterCommitted)
 			}
 		}
-		warmIdx := ri - p.WarmupIntervals
-		if warmIdx < 0 {
-			warmIdx = 0
-		}
+		warmIdx := max(ri-p.warmupIntervals(), 0)
 		var warmCommits int64
 		for i := warmIdx; i < ri; i++ {
 			warmCommits += prof.Intervals[i].Committed()
@@ -594,19 +546,14 @@ func selectReps(prof *Profile, vecs [][]float64, assign []int, pilot [][]float64
 		iv := &prof.Intervals[ri]
 		end := iv.Start + iv.Insts
 		warmStart := prof.Intervals[warmIdx].Start
-		funcWarm := p.FunctionalWarmInsts
-		if funcWarm > warmStart {
-			funcWarm = warmStart
-		}
 		reps = append(reps, Rep{
 			Interval:         ri,
 			Weight:           float64(clusterCommitted) / float64(total),
 			ClusterCommitted: clusterCommitted,
 			WarmStart:        warmStart,
-			FuncWarmInsts:    funcWarm,
 			WarmCommits:      warmCommits,
 			MeasureCommits:   iv.Committed(),
-			SrcBound:         end - warmStart + p.CooldownInsts,
+			SrcBound:         end - warmStart + p.cooldownInsts(),
 			PilotRep:         cloneVec(pilot[ri]),
 			PilotCluster:     clusterPilot,
 		})
@@ -621,43 +568,23 @@ func selectReps(prof *Profile, vecs [][]float64, assign []int, pilot [][]float64
 }
 
 // capture executes the program once more, functionally, pausing at each
-// representative's warm-span start (Snap) and at its detailed-window start
-// (WarmSnap) to snapshot architectural state. The two position lists can
-// interleave across representatives — a later rep's warm span may open
-// before an earlier rep's window — so the walk visits the merged, sorted
-// positions in one forward pass. Only the needed checkpoints are held —
-// never one per interval boundary — so plan memory is O(k · architectural
-// state).
+// representative's detailed-window start to snapshot architectural state
+// (WarmSnap). The representatives are ordered by interval, so their starts
+// are non-decreasing and one forward pass visits them all. Only the needed
+// checkpoints are held — never one per interval boundary — so plan memory
+// is O(k · architectural state).
 func (pl *Plan) capture() error {
-	type point struct {
-		pos  int64
-		rep  int
-		warm bool // WarmSnap (at WarmStart) vs Snap (at warm-span start)
-	}
-	points := make([]point, 0, 2*len(pl.Reps))
-	for i := range pl.Reps {
-		points = append(points,
-			point{pos: pl.Reps[i].WarmStart - pl.Reps[i].FuncWarmInsts, rep: i},
-			point{pos: pl.Reps[i].WarmStart, rep: i, warm: true})
-	}
-	sort.Slice(points, func(i, j int) bool { return points[i].pos < points[j].pos })
-
 	m := emulator.New(pl.img)
 	var d emulator.DynInst
 	var pos int64
-	for _, pt := range points {
-		for pos < pt.pos {
+	for i := range pl.Reps {
+		for ; pos < pl.Reps[i].WarmStart; pos++ {
 			if err := m.StepInto(&d); err != nil {
 				return fmt.Errorf("sampling: %s: fast-forward to %d: %w",
-					pl.Name, pt.pos, err)
+					pl.Name, pl.Reps[i].WarmStart, err)
 			}
-			pos++
 		}
-		if pt.warm {
-			pl.Reps[pt.rep].WarmSnap = m.Snapshot()
-		} else {
-			pl.Reps[pt.rep].Snap = m.Snapshot()
-		}
+		pl.Reps[i].WarmSnap = m.Snapshot()
 	}
 	return nil
 }
@@ -712,8 +639,8 @@ func (pl *Plan) warmEntryFor(cfg pipeline.Config) (e *warmEntry, key warmKey, ru
 // dropped from the plan, like a cancelled plan build in the experiment
 // runner: the next estimate replays afresh instead of inheriting the
 // cancellation, while deterministic failures stay cached.
-func (pl *Plan) runWarm(ctx context.Context, key warmKey, e *warmEntry, cfg pipeline.Config, meta *compiler.Meta) {
-	err := pl.buildWarmStates(ctx, cfg, meta, func(i int, ws *pipeline.WarmState) {
+func (pl *Plan) runWarm(ctx context.Context, key warmKey, e *warmEntry, cfg pipeline.Config) {
+	err := pl.buildWarmStates(ctx, cfg, func(i int, ws *pipeline.WarmState) {
 		e.states[i] = ws
 		close(e.ready[i])
 	})
@@ -730,83 +657,43 @@ func (pl *Plan) runWarm(ctx context.Context, key warmKey, e *warmEntry, cfg pipe
 	close(e.done)
 }
 
-// buildWarmStates replays each representative's functional-warming span
-// through a core with cfg's geometry and hands each captured state to
-// publish, in representative order, as soon as it is taken.
-//
-// Fast path: under default parameters FunctionalWarmInsts covers the whole
-// prefix, so every warm span starts at stream position 0 and the spans are
-// nested prefixes ordered by the (interval-sorted) representatives. One
-// sequential replay on the pilot's absolute cycle schedule then serves all
-// of them: capture at each boundary and shift that capture's cache
-// timestamps so its clock ends at 0 (timing is linear in the clock — see
-// cache.Hierarchy.ShiftClock), paying max(span) instead of sum(spans).
-//
-// General path (spans starting mid-stream): one replay per representative
-// from its Snap on the per-rep relative clock, exactly as estimates used to
-// warm inline — still amortised across every configuration sharing the
-// geometry.
-func (pl *Plan) buildWarmStates(ctx context.Context, cfg pipeline.Config, meta *compiler.Meta, publish func(int, *pipeline.WarmState)) error {
-	nested := true
-	for i := range pl.Reps {
-		if pl.Reps[i].WarmStart != pl.Reps[i].FuncWarmInsts {
-			nested = false
-			break
-		}
-	}
-	if nested && len(pl.Reps) > 0 {
-		// Absolute pilot clock: the cycle at stream position pos, i.e. after
-		// pos instructions. Without pilot timing, the nominal 2 cycles per
-		// instruction mirror WarmFunctional's nil-clock default (−2·(n−1−i)
-		// relative ≡ 2·(i+1) absolute shifted by −2·n).
-		cur := &warmCursor{pl: pl}
-		pilot := len(pl.warmRate) > 0
-		cycleAt := func(pos int64) int64 {
-			if pilot {
-				return int64(cur.at(pos))
-			}
-			return 2 * pos
-		}
-		// Warm in segments on one persistent machine, capturing at each
-		// boundary between segments.
-		m := emulator.New(pl.img)
-		core := pipeline.NewCoreFromSource(cfg, emulator.NewSource(m, 0), meta)
-		pos := int64(0)
-		for next := 0; next < len(pl.Reps); {
-			bound := pl.Reps[next].WarmStart
-			if span := bound - pos; span > 0 {
-				src := emulator.NewSource(m, span)
-				start := pos
-				clock := func(i int64) int64 { return cycleAt(start + i + 1) }
-				if err := core.WarmFunctional(ctx, src, span, clock); err != nil {
-					return err
-				}
-				pos += src.Counts().Insts
-				if pos != bound {
-					return fmt.Errorf("warm replay ended at %d before rep %d boundary %d", pos, next, bound)
-				}
-			}
-			for next < len(pl.Reps) && pl.Reps[next].WarmStart == bound {
-				ws := core.CaptureWarmState()
-				ws.ShiftClock(-cycleAt(bound))
-				publish(next, ws)
-				next++
-			}
-		}
-		return nil
-	}
-
-	for i := range pl.Reps {
-		rep := &pl.Reps[i]
-		m := emulator.NewRestored(pl.img, pl.repSnap(i))
-		src := emulator.NewSource(m, rep.FuncWarmInsts)
-		core := pipeline.NewCoreFromSource(cfg, src, meta)
-		if n := rep.FuncWarmInsts; n > 0 {
-			if err := core.WarmFunctional(ctx, src, n, pl.warmClock(rep.WarmStart-n, n)); err != nil {
+// buildWarmStates replays the stream from program start through a
+// functional model of cfg's geometry and hands each representative's
+// captured state to publish, in representative order, as soon as it is
+// taken. The representatives are interval-sorted, so their warm spans are
+// nested prefixes of the stream: one sequential replay on the pilot's
+// absolute cycle schedule serves all of them, capturing at each boundary
+// and shifting that capture's cache timestamps so its clock ends at 0
+// (timing is linear in the clock — see cache.Hierarchy.ShiftClock).
+func (pl *Plan) buildWarmStates(ctx context.Context, cfg pipeline.Config, publish func(int, *pipeline.WarmState)) error {
+	// The pilot cycle count after pos instructions.
+	cur := &warmCursor{pl: pl}
+	cycleAt := func(pos int64) int64 { return int64(cur.at(pos)) }
+	// Warm in segments on one persistent machine, capturing at each
+	// boundary between segments.
+	m := emulator.New(pl.img)
+	ws := pipeline.NewWarmState(cfg)
+	pos := int64(0)
+	for next := 0; next < len(pl.Reps); {
+		bound := pl.Reps[next].WarmStart
+		if span := bound - pos; span > 0 {
+			src := emulator.NewSource(m, span)
+			start := pos
+			clock := func(i int64) int64 { return cycleAt(start + i + 1) }
+			if err := ws.Replay(ctx, src, clock, nil); err != nil {
 				return err
 			}
+			pos += src.Counts().Insts
+			if pos != bound {
+				return fmt.Errorf("warm replay ended at %d before rep %d boundary %d", pos, next, bound)
+			}
 		}
-		publish(i, core.CaptureWarmState())
+		for next < len(pl.Reps) && pl.Reps[next].WarmStart == bound {
+			c := ws.Capture()
+			c.ShiftClock(-cycleAt(bound))
+			publish(next, c)
+			next++
+		}
 	}
 	return nil
 }
@@ -855,7 +742,7 @@ func (pl *Plan) EstimateContextN(ctx context.Context, cfg pipeline.Config, meta 
 	}
 	if workers <= 1 {
 		if replay {
-			pl.runWarm(ctx, key, e, cfg, meta)
+			pl.runWarm(ctx, key, e, cfg)
 		}
 		for i := range pl.Reps {
 			if err := pl.measureRep(ctx, cfg, meta, i, e, &ms[i], &details[i]); err != nil {
@@ -874,7 +761,7 @@ func (pl *Plan) EstimateContextN(ctx context.Context, cfg pipeline.Config, meta 
 			go func(w int) {
 				defer wg.Done()
 				if w == 0 && replay {
-					pl.runWarm(ctx, key, e, cfg, meta)
+					pl.runWarm(ctx, key, e, cfg)
 				}
 				for !stop.Load() {
 					i := int(next.Add(1) - 1)

@@ -27,27 +27,54 @@ func compileWorkload(t testing.TB, name string, scaleDiv int) *compiler.Result {
 	return res
 }
 
+// TestParamsNormalize: every field at zero, negative and positive values
+// normalizes to its documented meaning, and normalizing again changes
+// nothing — a runner that normalizes a request twice must still build the
+// plan the request asked for.
 func TestParamsNormalize(t *testing.T) {
-	if got := (Params{Enabled: false, IntervalLen: 99}).Normalize(); got != (Params{}) {
-		t.Fatalf("disabled Params normalized to %+v, want zero value", got)
+	def := Params{
+		Enabled:         true,
+		IntervalLen:     DefaultIntervalLen,
+		MaxK:            DefaultMaxK,
+		WarmupIntervals: DefaultWarmupIntervals,
+		CooldownInsts:   DefaultCooldownInsts,
+		KMeansIters:     DefaultKMeansIters,
+		Seed:            DefaultSeed,
 	}
-	got := (Params{Enabled: true}).Normalize()
-	want := Params{
-		Enabled:             true,
-		IntervalLen:         DefaultIntervalLen,
-		MaxK:                DefaultMaxK,
-		WarmupIntervals:     DefaultWarmupIntervals,
-		CooldownInsts:       DefaultCooldownInsts,
-		FunctionalWarmInsts: DefaultFunctionalWarmInsts,
-		KMeansIters:         DefaultKMeansIters,
-		Seed:                DefaultSeed,
+	with := func(base Params, f func(*Params)) Params {
+		f(&base)
+		return base
 	}
-	if got != want {
-		t.Fatalf("Default normalization = %+v, want %+v", got, want)
+	enabled := Params{Enabled: true}
+	for _, tc := range []struct {
+		name string
+		in   Params
+		want Params
+	}{
+		{"disabled", Params{IntervalLen: 99, WarmupIntervals: -1}, Params{}},
+		{"enabled", enabled, def},
+		{"IntervalLen/negative", with(enabled, func(p *Params) { p.IntervalLen = -3 }), def},
+		{"IntervalLen/positive", with(enabled, func(p *Params) { p.IntervalLen = 7 }), with(def, func(p *Params) { p.IntervalLen = 7 })},
+		{"MaxK/negative", with(enabled, func(p *Params) { p.MaxK = -3 }), def},
+		{"MaxK/positive", with(enabled, func(p *Params) { p.MaxK = 7 }), with(def, func(p *Params) { p.MaxK = 7 })},
+		{"WarmupIntervals/negative", with(enabled, func(p *Params) { p.WarmupIntervals = -3 }), with(def, func(p *Params) { p.WarmupIntervals = -1 })},
+		{"WarmupIntervals/positive", with(enabled, func(p *Params) { p.WarmupIntervals = 7 }), with(def, func(p *Params) { p.WarmupIntervals = 7 })},
+		{"CooldownInsts/negative", with(enabled, func(p *Params) { p.CooldownInsts = -3 }), with(def, func(p *Params) { p.CooldownInsts = -1 })},
+		{"CooldownInsts/positive", with(enabled, func(p *Params) { p.CooldownInsts = 7 }), with(def, func(p *Params) { p.CooldownInsts = 7 })},
+		{"KMeansIters/negative", with(enabled, func(p *Params) { p.KMeansIters = -3 }), def},
+		{"KMeansIters/positive", with(enabled, func(p *Params) { p.KMeansIters = 7 }), with(def, func(p *Params) { p.KMeansIters = 7 })},
+		{"Seed/positive", with(enabled, func(p *Params) { p.Seed = 7 }), with(def, func(p *Params) { p.Seed = 7 })},
+	} {
+		got := tc.in.Normalize()
+		if got != tc.want {
+			t.Errorf("%s: Normalize(%+v) = %+v, want %+v", tc.name, tc.in, got, tc.want)
+		}
+		if again := got.Normalize(); again != got {
+			t.Errorf("%s: Normalize is not idempotent: %+v then %+v", tc.name, got, again)
+		}
 	}
-	neg := (Params{Enabled: true, WarmupIntervals: -1, CooldownInsts: -1, FunctionalWarmInsts: -1}).Normalize()
-	if neg.WarmupIntervals != 0 || neg.CooldownInsts != 0 || neg.FunctionalWarmInsts != 0 {
-		t.Fatalf("negative means none, got %+v", neg)
+	if none := (Params{Enabled: true, WarmupIntervals: -1, CooldownInsts: -1}).Normalize(); none.warmupIntervals() != 0 || none.cooldownInsts() != 0 {
+		t.Fatalf("negative means none, got warmup %d, cooldown %d", none.warmupIntervals(), none.cooldownInsts())
 	}
 }
 
@@ -195,9 +222,6 @@ func TestPlanRepInvariants(t *testing.T) {
 		if rep.SrcBound != iv.Start+iv.Insts-rep.WarmStart+p.CooldownInsts {
 			t.Fatalf("rep %d SrcBound %d inconsistent", i, rep.SrcBound)
 		}
-		if rep.FuncWarmInsts > rep.WarmStart {
-			t.Fatalf("rep %d functional warm span %d exceeds stream prefix %d", i, rep.FuncWarmInsts, rep.WarmStart)
-		}
 		weight += rep.Weight
 		mass += rep.ClusterCommitted
 	}
@@ -212,7 +236,11 @@ func TestPlanRepInvariants(t *testing.T) {
 	}
 }
 
-func TestWarmClockSchedule(t *testing.T) {
+// TestWarmCursorSchedule: the warm replay's absolute pilot clock is
+// non-decreasing over the stream, reads warmCum[j] exactly at each interval
+// start, stands at warmCum[n] past the end, and restarts its walk when asked
+// for a position behind the one it holds.
+func TestWarmCursorSchedule(t *testing.T) {
 	res := compileWorkload(t, "dijkstra", 4)
 	pl, err := BuildPlan(res.Image, res.Meta, 1<<20, Default())
 	if err != nil {
@@ -221,35 +249,32 @@ func TestWarmClockSchedule(t *testing.T) {
 	if pl.Full {
 		t.Skip("plan degenerated to Full at this scale")
 	}
-	rep := &pl.Reps[len(pl.Reps)-1]
-	snapAt := rep.WarmStart - rep.FuncWarmInsts
-	clock := pl.warmClock(snapAt, rep.FuncWarmInsts)
-	if clock == nil {
-		t.Fatal("sampled plan has no warm clock")
-	}
-	prev := int64(math.MinInt64)
-	step := rep.FuncWarmInsts / 512
-	if step < 1 {
-		step = 1
-	}
-	for i := int64(0); i < rep.FuncWarmInsts; i += step {
-		c := clock(i)
+	ivs := pl.Profile.Intervals
+	n := len(ivs)
+	end := ivs[n-1].Start + ivs[n-1].Insts
+	cur := &warmCursor{pl: pl}
+	prev := math.Inf(-1)
+	for pos, j := int64(0), 0; pos <= end+1000; pos++ {
+		c := cur.at(pos)
 		if c < prev {
-			t.Fatalf("warm clock not monotonic: clock(%d)=%d after %d", i, c, prev)
-		}
-		if c > 0 {
-			t.Fatalf("warm clock positive before window open: clock(%d)=%d", i, c)
+			t.Fatalf("warm cursor decreases: at(%d)=%v after %v", pos, c, prev)
 		}
 		prev = c
+		if j < n && pos == ivs[j].Start {
+			if c != pl.warmCum[j] {
+				t.Fatalf("at(%d) = %v at interval %d start, want warmCum %v", pos, c, j, pl.warmCum[j])
+			}
+			j++
+		}
+		if pos >= end && c != pl.warmCum[n] {
+			t.Fatalf("at(%d) = %v past the end, want warmCum[n] %v", pos, c, pl.warmCum[n])
+		}
 	}
-	if last := clock(rep.FuncWarmInsts - 1); last != 0 {
-		t.Fatalf("warm clock ends at %d, want 0 (window open)", last)
+	if pl.warmCum[n] <= 0 || pl.warmCum[n] > 64*float64(end) {
+		t.Fatalf("pilot run of %d insts took %v cycles: implausible", end, pl.warmCum[n])
 	}
-	// The span's total pseudo-cycles follow the pilot schedule: strictly
-	// positive and bounded by a sane per-instruction rate.
-	span := -clock(0)
-	if span <= 0 || span > 64*rep.FuncWarmInsts {
-		t.Fatalf("warm span %d pseudo-cycles over %d insts is implausible", span, rep.FuncWarmInsts)
+	if c := cur.at(ivs[1].Start); c != pl.warmCum[1] {
+		t.Fatalf("restarted cursor reads %v at interval 1 start, want %v", c, pl.warmCum[1])
 	}
 }
 

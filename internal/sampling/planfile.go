@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,8 +20,7 @@ import (
 
 // The NRPF plan file is the on-disk form of a compiled sampling Plan: the
 // interval profile, the pilot timing columns that drive the warming clock,
-// and every representative with both of its checkpoints (architectural state
-// at the warm-span start and at the detailed-window start). Persisting a
+// and every representative with its detailed-window checkpoint. Persisting a
 // plan amortises the expensive build passes — profiling, the detailed pilot
 // run, clustering, checkpoint capture — across process restarts and across
 // cluster replicas, exactly as results are amortised through the
@@ -28,46 +28,45 @@ import (
 //
 // Layout (all integers varint/uvarint unless noted):
 //
-//	magic "NRPF", version u8
+//	magic "NRPF", version u8 (3)
 //	name, params (IntervalLen MaxK WarmupIntervals CooldownInsts
-//	              FunctionalWarmInsts KMeansIters Seed), maxInsts
+//	              KMeansIters Seed), maxInsts
 //	image hash (32 raw bytes, program.Image.ContentHash)
 //	full flag u8
 //	profile: TotalInsts TotalSetup, interval count,
 //	         per interval Start Insts Setup Traps + sorted BBV pairs
-//	warm-columns flag u8; warmRate[n] warmCum[n+1] as fixed float64 bits
-//	rep count; per rep the scalar fields, pilot columns, Snap, WarmSnap
+//	rep count; if non-zero, warmRate[n] warmCum[n+1] as fixed float64 bits
+//	per rep: Interval, Weight (float64 bits), ClusterCommitted, WarmStart,
+//	         WarmCommits, MeasureCommits, SrcBound, PilotRep, PilotCluster,
+//	         WarmSnap
 //	end marker u8 0xE7, then EOF
 //
-// Version 2 changes only the snapshot sections: instead of the machine's
-// full memory maps, each checkpoint stores the delta against the program
-// image's initial data — changed/new entries as sorted (addr, value) pairs,
-// then tombstones (image addresses absent from the checkpoint) as a sorted
-// address list, for Mem (vs Data) and FMem (vs FData) in turn. Checkpoints
-// share almost all of their memory with the image they were captured from,
-// so the delta cuts both the file size and the dominant decode cost of the
-// warm sampled loop (rebuilding per-rep memory maps). The reader still
-// accepts version 1 in full-map form: a stored plan is rebuilt only when
-// its content is stale, never because the container format moved on.
+// A checkpoint (WarmSnap) is its registers, PC, Seq and halted flag, then
+// its memory as a delta against the program image's initial data: the
+// entries that are new or changed, as (addr, value) pairs sorted by address,
+// for Mem (vs Data) and FMem (vs FData) in turn. The emulator never deletes
+// memory, so a checkpoint is always a superset of the image and the delta
+// needs no deletions. Checkpoints share almost all of their memory with the
+// image, so the delta cuts both the file size and the dominant decode cost
+// of the warm sampled loop (rebuilding per-rep memory maps).
 //
-// Maps (BBVs, snapshot memory) are written sorted by key, so encoding is
+// Maps (BBVs, checkpoint memory) are written sorted by key, so encoding is
 // deterministic: one plan, one byte string, one content hash.
 const (
-	// PlanFileVersion is the NRPF format version new plans are written at.
-	// Readers accept planMinVersion..PlanFileVersion; anything else is
-	// rejected outright — a stale plan is rebuilt, never reinterpreted.
-	PlanFileVersion = 2
-	planMinVersion  = 1
+	// PlanFileVersion is the NRPF format version. Bytes of any other
+	// version are rejected outright — a stale plan is rebuilt, never
+	// reinterpreted.
+	PlanFileVersion = 3
 
-	// planKeyTag is the version string folded into PlanKey. Deliberately
-	// frozen at v1: the v2 encoding changed the byte container (delta
-	// snapshots), not what a plan means, and the reader accepts both
-	// versions — so plans already in a content-addressed store stay warm
-	// across the format bump.
-	planKeyTag = "noreba-plan-v1"
+	// planKeyTag is the version string folded into PlanKey: a plan stored
+	// under an older format is never looked up, let alone decoded.
+	planKeyTag = "noreba-plan-v3"
 
 	planMagic = "NRPF"
 	planEnd   = 0xE7
+	// planVersionOffset is the version byte's offset, where a file of
+	// another format version is rejected.
+	planVersionOffset = int64(len(planMagic))
 
 	maxPlanNameLen   = 1 << 12
 	maxPlanIntervals = 1 << 22
@@ -121,24 +120,6 @@ func PlanKey(imgHash [sha256.Size]byte, maxInsts int64, p Params) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func sortedKeys(m map[int64]int64) []int64 {
-	ks := make([]int64, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func sortedFKeys(m map[int64]float64) []int64 {
-	ks := make([]int64, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
 // planWriter serialises into a byte buffer with varint scalars and fixed
 // 8-byte float bit patterns.
 type planWriter struct {
@@ -169,9 +150,12 @@ func (w *planWriter) floats(fs []float64) {
 	}
 }
 
-// snapshotHead writes the fixed part of a checkpoint section, common to the
-// v1 (full-map) and v2 (delta) forms.
-func (w *planWriter) snapshotHead(s *emulator.Snapshot) {
+// snapshot writes a checkpoint section: registers and control state, then
+// memory as a delta against the image's initial data (base, fbase). A nil
+// base writes every entry. A snapshot already in delta form (a loaded
+// plan's, whose maps hold only entries differing from the image) diffs to
+// itself, so a loaded plan re-encodes to the bytes it was decoded from.
+func (w *planWriter) snapshot(s *emulator.Snapshot, base map[int64]int64, fbase map[int64]float64) {
 	for _, r := range s.IntRegs {
 		w.varint(r)
 	}
@@ -181,89 +165,24 @@ func (w *planWriter) snapshotHead(s *emulator.Snapshot) {
 	w.varint(int64(s.PC))
 	w.varint(s.Seq)
 	w.bool(s.Halted)
+	writeDelta(w, s.Mem, base, w.varint)
+	writeDelta(w, s.FMem, fbase, w.float)
 }
 
-// snapshot writes the v1 checkpoint section: the full memory maps.
-func (w *planWriter) snapshot(s *emulator.Snapshot) {
-	w.snapshotHead(s)
-	w.uvarint(uint64(len(s.Mem)))
-	for _, a := range sortedKeys(s.Mem) {
-		w.varint(a)
-		w.varint(s.Mem[a])
-	}
-	w.uvarint(uint64(len(s.FMem)))
-	for _, a := range sortedFKeys(s.FMem) {
-		w.varint(a)
-		w.float(s.FMem[a])
-	}
-}
-
-// snapshotDelta writes the v2 checkpoint section: memory as a delta against
-// the image's initial data. Changed or new entries are written as sorted
-// (addr, value) pairs; tombstones — base addresses absent from the snapshot
-// — as a sorted address list. A snapshot still in decoded delta form (d
-// non-nil: its Mem maps hold just the delta) is written back verbatim with
-// d's tombstones; otherwise the tombstones are derived from the base. A nil
-// base degenerates to "every entry changed, no tombstones", which binds
-// correctly for any plan whose checkpoints cover the image's data addresses
-// — true of every plan BuildPlan produces, since a machine's memory starts
-// as the image data and never deletes.
-func (w *planWriter) snapshotDelta(s *emulator.Snapshot, d *memDelta, base map[int64]int64, fbase map[int64]float64) {
-	w.snapshotHead(s)
-	var tombs, ftombs []int64
-	if d != nil {
-		base, fbase = nil, nil
-		tombs, ftombs = d.tombs, d.ftombs
-	}
-
-	changed := make([]int64, 0, len(s.Mem))
-	for a, v := range s.Mem {
+// writeDelta writes the entries of m absent from base or differing from it,
+// as a count then (addr, value) pairs sorted by address.
+func writeDelta[V comparable](w *planWriter, m, base map[int64]V, put func(V)) {
+	changed := make([]int64, 0, len(m))
+	for a, v := range m {
 		if bv, ok := base[a]; !ok || bv != v {
 			changed = append(changed, a)
 		}
 	}
-	sort.Slice(changed, func(i, j int) bool { return changed[i] < changed[j] })
+	slices.Sort(changed)
 	w.uvarint(uint64(len(changed)))
 	for _, a := range changed {
 		w.varint(a)
-		w.varint(s.Mem[a])
-	}
-	if tombs == nil && base != nil {
-		for a := range base {
-			if _, ok := s.Mem[a]; !ok {
-				tombs = append(tombs, a)
-			}
-		}
-		sort.Slice(tombs, func(i, j int) bool { return tombs[i] < tombs[j] })
-	}
-	w.uvarint(uint64(len(tombs)))
-	for _, a := range tombs {
-		w.varint(a)
-	}
-
-	fchanged := make([]int64, 0, len(s.FMem))
-	for a, v := range s.FMem {
-		if bv, ok := fbase[a]; !ok || bv != v {
-			fchanged = append(fchanged, a)
-		}
-	}
-	sort.Slice(fchanged, func(i, j int) bool { return fchanged[i] < fchanged[j] })
-	w.uvarint(uint64(len(fchanged)))
-	for _, a := range fchanged {
-		w.varint(a)
-		w.float(s.FMem[a])
-	}
-	if ftombs == nil && fbase != nil {
-		for a := range fbase {
-			if _, ok := s.FMem[a]; !ok {
-				ftombs = append(ftombs, a)
-			}
-		}
-		sort.Slice(ftombs, func(i, j int) bool { return ftombs[i] < ftombs[j] })
-	}
-	w.uvarint(uint64(len(ftombs)))
-	for _, a := range ftombs {
-		w.varint(a)
+		put(m[a])
 	}
 }
 
@@ -277,23 +196,16 @@ func (w *planWriter) bool(b bool) {
 
 // EncodePlan serialises the plan into the NRPF byte format. The encoding is
 // deterministic: equal plans produce equal bytes.
-func EncodePlan(pl *Plan) []byte { return encodePlanAt(pl, PlanFileVersion) }
-
-// encodePlanAt serialises at a specific format version. Production encoding
-// is always PlanFileVersion; the backward-compatibility tests use it to
-// produce genuine v1 bytes (valid only for built or bound plans, not
-// v2-decoded-unbound ones, whose checkpoints cannot be materialized).
-func encodePlanAt(pl *Plan, version byte) []byte {
+func EncodePlan(pl *Plan) []byte {
 	w := &planWriter{}
 	w.buf.WriteString(planMagic)
-	w.u8(version)
+	w.u8(PlanFileVersion)
 	w.str(pl.Name)
 	p := pl.Params
 	w.varint(p.IntervalLen)
 	w.varint(int64(p.MaxK))
 	w.varint(int64(p.WarmupIntervals))
 	w.varint(p.CooldownInsts)
-	w.varint(p.FunctionalWarmInsts)
 	w.varint(int64(p.KMeansIters))
 	w.uvarint(p.Seed)
 	w.varint(pl.maxInsts)
@@ -322,44 +234,32 @@ func encodePlanAt(pl *Plan, version byte) []byte {
 		}
 	}
 
-	if len(pl.warmRate) > 0 {
-		w.u8(1)
+	w.uvarint(uint64(len(pl.Reps)))
+	if len(pl.Reps) > 0 {
 		for _, f := range pl.warmRate {
 			w.float(f)
 		}
 		for _, f := range pl.warmCum {
 			w.float(f)
 		}
-	} else {
-		w.u8(0)
 	}
-
-	w.uvarint(uint64(len(pl.Reps)))
+	var base map[int64]int64
+	var fbase map[int64]float64
+	if pl.img != nil {
+		base, fbase = pl.img.Data, pl.img.FData
+	}
 	for i := range pl.Reps {
 		r := &pl.Reps[i]
 		w.varint(int64(r.Interval))
 		w.float(r.Weight)
 		w.varint(r.ClusterCommitted)
 		w.varint(r.WarmStart)
-		w.varint(r.FuncWarmInsts)
 		w.varint(r.WarmCommits)
 		w.varint(r.MeasureCommits)
 		w.varint(r.SrcBound)
 		w.floats(r.PilotRep)
 		w.floats(r.PilotCluster)
-		if version >= 2 {
-			var base map[int64]int64
-			var fbase map[int64]float64
-			if pl.img != nil {
-				base, fbase = pl.img.Data, pl.img.FData
-			}
-			w.snapshotDelta(&r.Snap, r.snapDelta, base, fbase)
-			w.snapshotDelta(&r.WarmSnap, r.warmDelta, base, fbase)
-		} else {
-			snap, warm := pl.repSnap(i), pl.windowSnap(i)
-			w.snapshot(&snap)
-			w.snapshot(&warm)
-		}
+		w.snapshot(&r.WarmSnap, base, fbase)
 	}
 	w.u8(planEnd)
 	return w.buf.Bytes()
@@ -483,14 +383,15 @@ func (r *planReader) floats(what string) ([]float64, error) {
 	return out, nil
 }
 
+// snapshot reads a checkpoint section. The returned snapshot's Mem/FMem
+// hold only the entries that differ from the image, until windowSnap
+// materializes it against a bound image.
 func (r *planReader) snapshot(what string) (emulator.Snapshot, error) {
 	var s emulator.Snapshot
 	var err error
 	for i := range s.IntRegs {
-		if v, err := r.varint(what + " int register"); err != nil {
+		if s.IntRegs[i], err = r.varint(what + " int register"); err != nil {
 			return s, err
-		} else {
-			s.IntRegs[i] = v
 		}
 	}
 	for i := range s.FPRegs {
@@ -509,126 +410,30 @@ func (r *planReader) snapshot(what string) (emulator.Snapshot, error) {
 	if s.Halted, err = r.bool(what + " halted"); err != nil {
 		return s, err
 	}
-	nm, err := r.count(what+" memory entries", maxMapEntries)
-	if err != nil {
+	if s.Mem, err = readDelta(r, what+" memory", r.varint); err != nil {
 		return s, err
 	}
-	s.Mem = make(map[int64]int64, hint(nm))
-	for i := 0; i < nm; i++ {
-		a, err := r.varint(what + " memory address")
-		if err != nil {
-			return s, err
-		}
-		v, err := r.varint(what + " memory value")
-		if err != nil {
-			return s, err
-		}
-		s.Mem[a] = v
-	}
-	nf, err := r.count(what+" fp memory entries", maxMapEntries)
-	if err != nil {
-		return s, err
-	}
-	s.FMem = make(map[int64]float64, hint(nf))
-	for i := 0; i < nf; i++ {
-		a, err := r.varint(what + " fp memory address")
-		if err != nil {
-			return s, err
-		}
-		v, err := r.float(what + " fp memory value")
-		if err != nil {
-			return s, err
-		}
-		s.FMem[a] = v
-	}
-	return s, nil
+	s.FMem, err = readDelta(r, what+" fp memory", r.float)
+	return s, err
 }
 
-// snapshotDelta reads the v2 checkpoint section. The returned snapshot's
-// Mem/FMem hold only the delta entries; the returned memDelta's tombstone
-// lists name base addresses the checkpoint deleted. Both stay unresolved
-// until the snapshot is materialized against a bound image.
-func (r *planReader) snapshotDelta(what string) (emulator.Snapshot, *memDelta, error) {
-	var s emulator.Snapshot
-	var err error
-	for i := range s.IntRegs {
-		if s.IntRegs[i], err = r.varint(what + " int register"); err != nil {
-			return s, nil, err
-		}
-	}
-	for i := range s.FPRegs {
-		if s.FPRegs[i], err = r.float(what + " fp register"); err != nil {
-			return s, nil, err
-		}
-	}
-	pc, err := r.varint(what + " pc")
+// readDelta reads a writeDelta section, each value read by get.
+func readDelta[V any](r *planReader, what string, get func(string) (V, error)) (map[int64]V, error) {
+	n, err := r.count(what+" entries", maxMapEntries)
 	if err != nil {
-		return s, nil, err
+		return nil, err
 	}
-	s.PC = int(pc)
-	if s.Seq, err = r.varint(what + " seq"); err != nil {
-		return s, nil, err
-	}
-	if s.Halted, err = r.bool(what + " halted"); err != nil {
-		return s, nil, err
-	}
-	nm, err := r.count(what+" changed memory entries", maxMapEntries)
-	if err != nil {
-		return s, nil, err
-	}
-	s.Mem = make(map[int64]int64, hint(nm))
-	for i := 0; i < nm; i++ {
-		a, err := r.varint(what + " memory address")
+	m := make(map[int64]V, hint(n))
+	for i := 0; i < n; i++ {
+		a, err := r.varint(what + " address")
 		if err != nil {
-			return s, nil, err
+			return nil, err
 		}
-		v, err := r.varint(what + " memory value")
-		if err != nil {
-			return s, nil, err
+		if m[a], err = get(what + " value"); err != nil {
+			return nil, err
 		}
-		s.Mem[a] = v
 	}
-	nt, err := r.count(what+" memory tombstones", maxMapEntries)
-	if err != nil {
-		return s, nil, err
-	}
-	tombs := make([]int64, 0, hint(nt))
-	for i := 0; i < nt; i++ {
-		a, err := r.varint(what + " memory tombstone")
-		if err != nil {
-			return s, nil, err
-		}
-		tombs = append(tombs, a)
-	}
-	nf, err := r.count(what+" changed fp memory entries", maxMapEntries)
-	if err != nil {
-		return s, nil, err
-	}
-	s.FMem = make(map[int64]float64, hint(nf))
-	for i := 0; i < nf; i++ {
-		a, err := r.varint(what + " fp memory address")
-		if err != nil {
-			return s, nil, err
-		}
-		v, err := r.float(what + " fp memory value")
-		if err != nil {
-			return s, nil, err
-		}
-		s.FMem[a] = v
-	}
-	nft, err := r.count(what+" fp memory tombstones", maxMapEntries)
-	if err != nil {
-		return s, nil, err
-	}
-	ftombs := make([]int64, 0, hint(nft))
-	for i := 0; i < nft; i++ {
-		a, err := r.varint(what + " fp memory tombstone")
-		if err != nil {
-			return s, nil, err
-		}
-		ftombs = append(ftombs, a)
-	}
-	return s, &memDelta{tombs: tombs, ftombs: ftombs}, nil
+	return m, nil
 }
 
 // hint caps a pre-allocation size derived from untrusted input: the data
@@ -658,9 +463,9 @@ func DecodePlan(data []byte) (*Plan, [sha256.Size]byte, error) {
 	if err != nil {
 		return nil, imgHash, err
 	}
-	if version < planMinVersion || version > PlanFileVersion {
-		return nil, imgHash, r.failf("unsupported plan version %d (want %d..%d)",
-			version, planMinVersion, PlanFileVersion)
+	if version != PlanFileVersion {
+		return nil, imgHash, &FormatError{Offset: planVersionOffset,
+			Msg: fmt.Sprintf("unsupported plan version %d (want %d)", version, PlanFileVersion)}
 	}
 
 	pl := &Plan{}
@@ -681,9 +486,6 @@ func DecodePlan(data []byte) (*Plan, [sha256.Size]byte, error) {
 	}
 	p.WarmupIntervals = int(v)
 	if p.CooldownInsts, err = r.varint("cooldown insts"); err != nil {
-		return nil, imgHash, err
-	}
-	if p.FunctionalWarmInsts, err = r.varint("functional warm insts"); err != nil {
 		return nil, imgHash, err
 	}
 	if v, err = r.varint("kmeans iters"); err != nil {
@@ -750,11 +552,11 @@ func DecodePlan(data []byte) (*Plan, [sha256.Size]byte, error) {
 	}
 	pl.Profile = prof
 
-	warmPresent, err := r.bool("warm-columns flag")
+	nReps, err := r.count("rep count", maxPlanReps)
 	if err != nil {
 		return nil, imgHash, err
 	}
-	if warmPresent {
+	if nReps > 0 {
 		pl.warmRate = make([]float64, nIvs)
 		for i := range pl.warmRate {
 			if pl.warmRate[i], err = r.float("warm rate"); err != nil {
@@ -767,11 +569,6 @@ func DecodePlan(data []byte) (*Plan, [sha256.Size]byte, error) {
 				return nil, imgHash, err
 			}
 		}
-	}
-
-	nReps, err := r.count("rep count", maxPlanReps)
-	if err != nil {
-		return nil, imgHash, err
 	}
 	pl.Reps = make([]Rep, 0, hint(nReps))
 	for i := 0; i < nReps; i++ {
@@ -789,9 +586,6 @@ func DecodePlan(data []byte) (*Plan, [sha256.Size]byte, error) {
 		if rep.WarmStart, err = r.varint("rep warm start"); err != nil {
 			return nil, imgHash, err
 		}
-		if rep.FuncWarmInsts, err = r.varint("rep functional warm insts"); err != nil {
-			return nil, imgHash, err
-		}
 		if rep.WarmCommits, err = r.varint("rep warm commits"); err != nil {
 			return nil, imgHash, err
 		}
@@ -807,20 +601,8 @@ func DecodePlan(data []byte) (*Plan, [sha256.Size]byte, error) {
 		if rep.PilotCluster, err = r.floats("rep cluster pilot column"); err != nil {
 			return nil, imgHash, err
 		}
-		if version >= 2 {
-			if rep.Snap, rep.snapDelta, err = r.snapshotDelta("rep checkpoint"); err != nil {
-				return nil, imgHash, err
-			}
-			if rep.WarmSnap, rep.warmDelta, err = r.snapshotDelta("rep warm checkpoint"); err != nil {
-				return nil, imgHash, err
-			}
-		} else {
-			if rep.Snap, err = r.snapshot("rep checkpoint"); err != nil {
-				return nil, imgHash, err
-			}
-			if rep.WarmSnap, err = r.snapshot("rep warm checkpoint"); err != nil {
-				return nil, imgHash, err
-			}
+		if rep.WarmSnap, err = r.snapshot("rep warm checkpoint"); err != nil {
+			return nil, imgHash, err
 		}
 		pl.Reps = append(pl.Reps, rep)
 	}
@@ -866,63 +648,45 @@ func LoadPlanHashed(data []byte, img *program.Image, imgHash [sha256.Size]byte, 
 	if norm := p.Normalize(); pl.Params != norm {
 		return nil, &FormatError{Msg: fmt.Sprintf("params mismatch: plan built for %+v, want %+v", pl.Params, norm)}
 	}
-	// v2 checkpoints stay in delta form until something reads them (see
-	// windowSnap and repSnap), so binding costs nothing per representative.
+	// Checkpoints stay in delta form until a window reads them (see
+	// windowSnap), so binding costs nothing per representative.
 	pl.img = img
 	pl.windowSnaps = make([]lazySnap, len(pl.Reps))
 	return pl, nil
 }
 
-// lazySnap is a checkpoint materialized from its v2 delta form on first use.
+// lazySnap is a checkpoint materialized from its delta form on first use.
 type lazySnap struct {
 	once sync.Once
 	snap emulator.Snapshot
 }
 
 // windowSnap returns representative i's window-entry checkpoint (WarmSnap)
-// with full memory maps. A loaded plan materializes it against the bound
-// image on first use — base data, minus tombstones, overlaid with the delta
-// entries, the exact inverse of snapshotDelta — and keeps it: every
-// estimate restores it. The first estimate does this inside its window
-// workers, alongside the warm replay, rather than serially at load time.
+// with full memory maps. A loaded plan materializes it on first use — a
+// clone of the bound image's data overlaid with the delta entries, the
+// exact inverse of planWriter.snapshot — and keeps it: every estimate
+// restores it. The first estimate does this inside its window workers,
+// alongside the warm replay, rather than serially at load time.
 func (pl *Plan) windowSnap(i int) emulator.Snapshot {
-	rep := &pl.Reps[i]
-	if rep.warmDelta == nil {
-		return rep.WarmSnap
+	if pl.windowSnaps == nil {
+		return pl.Reps[i].WarmSnap
 	}
 	ls := &pl.windowSnaps[i]
-	ls.once.Do(func() { ls.snap = rep.warmDelta.materialize(rep.WarmSnap, pl.img) })
+	ls.once.Do(func() {
+		s := pl.Reps[i].WarmSnap
+		s.Mem = overlay(pl.img.Data, s.Mem)
+		s.FMem = overlay(pl.img.FData, s.FMem)
+		ls.snap = s
+	})
 	return ls.snap
 }
 
-// repSnap returns representative i's warm-span checkpoint (Snap) with full
-// memory maps, materializing it from delta form without keeping it: only
-// the general warming path reads it, once per geometry.
-func (pl *Plan) repSnap(i int) emulator.Snapshot {
-	rep := &pl.Reps[i]
-	if rep.snapDelta == nil {
-		return rep.Snap
-	}
-	return rep.snapDelta.materialize(rep.Snap, pl.img)
-}
-
-// materialize returns s — a snapshot whose maps hold only delta entries —
-// with full memory maps rebuilt against img.
-func (d *memDelta) materialize(s emulator.Snapshot, img *program.Image) emulator.Snapshot {
-	s.Mem = overlay(img.Data, s.Mem, d.tombs)
-	s.FMem = overlay(img.FData, s.FMem, d.ftombs)
-	return s
-}
-
-// overlay reconstructs a full checkpoint memory map from its delta form:
-// a clone of the image's base data, minus tombstones, plus the delta.
-func overlay[V any](base, delta map[int64]V, tombs []int64) map[int64]V {
+// overlay reconstructs a full checkpoint memory map from its delta form: a
+// clone of the image's base data plus the delta.
+func overlay[V any](base, delta map[int64]V) map[int64]V {
 	full := make(map[int64]V, len(base)+len(delta))
 	for a, v := range base {
 		full[a] = v
-	}
-	for _, a := range tombs {
-		delete(full, a)
 	}
 	for a, v := range delta {
 		full[a] = v

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -156,51 +157,6 @@ func TestPlanFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanFileV1BackwardCompat: the reader must load genuine v1 bytes (full
-// snapshot maps) to exactly the plan the v2 delta bytes load to, and the
-// content-store key must not move across the format bump — plans persisted
-// before the delta encoding stay warm and stay correct.
-func TestPlanFileV1BackwardCompat(t *testing.T) {
-	res := compileWorkload(t, "dijkstra", 4)
-	p := Default()
-	pl, err := BuildPlan(res.Image, res.Meta, 1<<20, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := encodePlanAt(pl, 1)
-	v2 := EncodePlan(pl)
-	if bytes.Equal(v1, v2) {
-		t.Fatal("v1 and v2 encodings are identical — the delta form is not being exercised")
-	}
-	if len(v2) >= len(v1) {
-		t.Errorf("v2 delta encoding (%d bytes) is not smaller than v1 (%d bytes)", len(v2), len(v1))
-	}
-
-	fromV1, err := LoadPlan(v1, res.Image, 1<<20, p)
-	if err != nil {
-		t.Fatalf("loading v1 bytes: %v", err)
-	}
-	fromV2, err := LoadPlan(v2, res.Image, 1<<20, p)
-	if err != nil {
-		t.Fatalf("loading v2 bytes: %v", err)
-	}
-	// The v1 load holds full snapshot maps and the v2 load delta ones;
-	// re-encoding canonicalises both, so byte equality here means the v1
-	// full maps and the v2 deltas agree entry for entry.
-	if !bytes.Equal(EncodePlan(fromV1), EncodePlan(fromV2)) {
-		t.Fatal("plan loaded from v1 bytes differs from plan loaded from v2 bytes")
-	}
-
-	// The PlanKey tag is frozen: a format bump must not cold-start stores.
-	key := PlanKey(res.ImageHash(), 1<<20, p)
-	if got := planKeyTag; got != "noreba-plan-v1" {
-		t.Fatalf("planKeyTag drifted to %q — this cold-starts every plan store", got)
-	}
-	if len(key) != 64 {
-		t.Fatalf("PlanKey %q is not sha256 hex", key)
-	}
-}
-
 // TestPlanFileStaleness: every way a stored plan can go stale — bumped
 // format version, recompiled program, different stream bound or parameters,
 // flipped bytes, truncation — must surface as a *FormatError (a miss to the
@@ -229,13 +185,16 @@ func TestPlanFileStaleness(t *testing.T) {
 		}
 	}
 
-	// A future (or past) format version is rebuilt, not misparsed.
-	stale := append([]byte(nil), data...)
-	stale[len(planMagic)] = PlanFileVersion + 1
-	_, err = LoadPlan(stale, res.Image, 1<<20, p)
-	wantFormatError(t, err, "version bump")
-	if !strings.Contains(err.Error(), "version") {
-		t.Errorf("version mismatch error does not say so: %v", err)
+	// Bytes of an older format (v1 full maps, v2 delta sections with
+	// tombstones) or a future one are rebuilt, never misparsed.
+	for _, v := range []byte{1, 2, PlanFileVersion + 1} {
+		stale := append([]byte(nil), data...)
+		stale[planVersionOffset] = v
+		_, err = LoadPlan(stale, res.Image, 1<<20, p)
+		wantFormatError(t, err, fmt.Sprintf("version %d", v))
+		if fe, _ := AsFormatError(err); fe.Offset != planVersionOffset || !strings.Contains(err.Error(), "version") {
+			t.Errorf("version %d: want a version error at offset %d, got %v", v, planVersionOffset, err)
+		}
 	}
 
 	// A recompiled (different) program must never be served this plan.
@@ -269,34 +228,63 @@ func TestPlanFileStaleness(t *testing.T) {
 
 // FuzzPlanFile: hostile bytes must produce an in-bounds *FormatError or a
 // plan whose re-encoding round-trips — never a panic, never an unbounded
-// allocation.
+// allocation. Bytes of any other format version fail at the version byte.
 func FuzzPlanFile(f *testing.F) {
-	res := compileWorkload(f, "CRC32", 4)
-	pl, err := BuildPlan(res.Image, res.Meta, 1<<18, Default())
+	// A small sampled plan keeps the seeds short, so the fuzzer spends its
+	// budget mutating rather than minimizing; dijkstra's second checkpoint
+	// holds stores, so its delta section is non-empty.
+	res := compileWorkload(f, "dijkstra", 8)
+	pl, err := BuildPlan(res.Image, res.Meta, 1<<12, Params{Enabled: true, IntervalLen: 128, MaxK: 2, CooldownInsts: 64})
 	if err != nil {
 		f.Fatal(err)
 	}
+	if pl.Full {
+		f.Fatal("plan degenerated to Full: the seeds need representatives")
+	}
 	valid := EncodePlan(pl)
-	legacy := encodePlanAt(pl, 1) // v1 full-map form: the reader accepts both
 	f.Add(valid)
-	f.Add(legacy)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:8])
-	f.Add(legacy[:len(legacy)*2/3])
 	f.Add([]byte(planMagic))
 	f.Add([]byte{})
-	for _, i := range []int{0, len(planMagic), len(planMagic) + 1, len(valid) / 3, len(valid) - 1} {
+	for _, v := range []byte{1, 2} {
+		old := append([]byte(nil), valid...)
+		old[planVersionOffset] = v
+		f.Add(old)
+	}
+	flip := func(i int, mask byte) {
 		mut := append([]byte(nil), valid...)
-		mut[i] ^= 0xFF
+		mut[i] ^= mask
 		f.Add(mut)
 	}
-	// Hit the v2 delta sections specifically: the changed-entry and
-	// tombstone counts live in the back half of the file, after the pilot
-	// columns of the first representative.
-	for _, i := range []int{len(valid) * 3 / 4, len(valid) - len(valid)/8, len(legacy) / 2} {
-		mut := append([]byte(nil), valid...)
-		mut[i] ^= 0x55
-		f.Add(mut)
+	for _, i := range []int{0, len(planMagic), len(planMagic) + 1, len(valid) / 3, len(valid) - 1} {
+		flip(i, 0xFF)
+	}
+	// Aim at the v3 sections. The warm columns follow the rep count, which
+	// ends where the same plan without representatives has its end marker.
+	noReps := &Plan{Name: pl.Name, Params: pl.Params, Profile: pl.Profile, img: pl.img, imgHash: pl.imgHash, maxInsts: pl.maxInsts}
+	warmCols := len(EncodePlan(noReps)) - 1
+	nIvs := len(pl.Profile.Intervals)
+	for _, i := range []int{warmCols - 1, warmCols, warmCols + 8*nIvs, warmCols + 8*(2*nIvs+1) - 1} {
+		flip(i, 0x55)
+	}
+	// The last representative's checkpoint closes the file: its register
+	// head, then the memory delta's count and (addr, value) pairs, then the
+	// fp memory delta.
+	last := &pl.Reps[len(pl.Reps)-1].WarmSnap
+	w := &planWriter{}
+	w.snapshot(last, res.Image.Data, res.Image.FData)
+	snapStart := len(valid) - 1 - w.buf.Len()
+	head := *last
+	head.Mem, head.FMem = nil, nil
+	w = &planWriter{}
+	w.snapshot(&head, nil, nil)
+	delta := snapStart + w.buf.Len() - 2
+	if valid[delta] == 0 {
+		f.Fatal("the last checkpoint has an empty memory delta: the delta seeds would hit nothing")
+	}
+	for _, i := range []int{delta, delta + 1, (delta + len(valid)) / 2, len(valid) - 2} {
+		flip(i, 0x55)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pl, _, err := DecodePlan(data)
@@ -307,6 +295,11 @@ func FuzzPlanFile(f *testing.F) {
 			}
 			if fe.Offset < 0 || fe.Offset > int64(len(data))+1 {
 				t.Fatalf("error offset %d outside [0, %d]: %v", fe.Offset, len(data)+1, err)
+			}
+			if len(data) > int(planVersionOffset) && bytes.HasPrefix(data, []byte(planMagic)) &&
+				data[planVersionOffset] != PlanFileVersion && fe.Offset != planVersionOffset {
+				t.Fatalf("version %d bytes fail at offset %d, not at the version byte: %v",
+					data[planVersionOffset], fe.Offset, err)
 			}
 			return
 		}

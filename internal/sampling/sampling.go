@@ -40,16 +40,6 @@ const (
 	// cooldown instructions the front end actually fetched by then are ever
 	// simulated.
 	DefaultCooldownInsts = 512
-	// DefaultFunctionalWarmInsts is the SMARTS-style functional-warming
-	// span: how many instructions immediately before the detailed warmup
-	// are replayed through the caches, branch predictor and RAS — at
-	// emulator speed, no pipeline timing — so long-lived microarchitectural
-	// state is warm when detailed simulation begins. Detailed warmup alone
-	// cannot fill multi-megabyte caches from a few hundred instructions;
-	// without functional warming every representative pays cold-miss
-	// penalties the full run never sees. The default effectively warms from
-	// program start for every workload in the registry.
-	DefaultFunctionalWarmInsts = 1 << 20
 	// DefaultKMeansIters caps Lloyd iterations.
 	DefaultKMeansIters = 32
 	// DefaultSeed seeds the deterministic k-means++ initialisation.
@@ -77,10 +67,6 @@ type Params struct {
 	// CooldownInsts extends each representative's stream past the interval
 	// end; 0 means DefaultCooldownInsts, negative means no cooldown.
 	CooldownInsts int64
-	// FunctionalWarmInsts is the functional-warming span before each
-	// representative's detailed warmup; 0 means
-	// DefaultFunctionalWarmInsts, negative means no functional warming.
-	FunctionalWarmInsts int64
 	// KMeansIters caps Lloyd iterations; 0 means DefaultKMeansIters.
 	KMeansIters int
 	// Seed seeds the deterministic k-means++ initialisation; 0 means
@@ -95,7 +81,9 @@ func Default() Params { return Params{Enabled: true}.Normalize() }
 // Normalize resolves defaults into explicit values so that two Params
 // meaning the same sampling schedule compare (and hash) equal: a disabled
 // Params collapses to the zero value, an enabled one has every zero field
-// replaced by its default and every "negative means none" field clamped.
+// replaced by its default and every "negative means none" field set to -1.
+// Normalizing twice changes nothing: "none" stays -1 rather than becoming a
+// 0 that a second pass would read as "default".
 func (p Params) Normalize() Params {
 	if !p.Enabled {
 		return Params{}
@@ -110,19 +98,13 @@ func (p Params) Normalize() Params {
 	case p.WarmupIntervals == 0:
 		p.WarmupIntervals = DefaultWarmupIntervals
 	case p.WarmupIntervals < 0:
-		p.WarmupIntervals = 0
+		p.WarmupIntervals = -1
 	}
 	switch {
 	case p.CooldownInsts == 0:
 		p.CooldownInsts = DefaultCooldownInsts
 	case p.CooldownInsts < 0:
-		p.CooldownInsts = 0
-	}
-	switch {
-	case p.FunctionalWarmInsts == 0:
-		p.FunctionalWarmInsts = DefaultFunctionalWarmInsts
-	case p.FunctionalWarmInsts < 0:
-		p.FunctionalWarmInsts = 0
+		p.CooldownInsts = -1
 	}
 	if p.KMeansIters <= 0 {
 		p.KMeansIters = DefaultKMeansIters
@@ -132,3 +114,8 @@ func (p Params) Normalize() Params {
 	}
 	return p
 }
+
+// warmupIntervals and cooldownInsts read a normalized Params' detailed
+// warmup and cooldown lengths, "none" (-1) as 0.
+func (p Params) warmupIntervals() int { return max(p.WarmupIntervals, 0) }
+func (p Params) cooldownInsts() int64 { return max(p.CooldownInsts, 0) }
