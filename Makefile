@@ -32,10 +32,10 @@ profile-top:
 	go tool pprof -top -nodecount=25 cpu.pprof
 	@rm -f noreba-bench.profiling
 
-# Coverage for the gated packages (the floor itself is enforced by check;
-# keep this list identical to the one in scripts/check.sh).
+# Coverage for the gated packages, failing below the floor (the package
+# list and the floor live in scripts/cover.sh, which check also runs).
 cover:
-	go test -cover ./internal/pipeline ./internal/compiler ./internal/service ./internal/sampling ./internal/workgen ./internal/tracefile
+	sh scripts/cover.sh
 
 # Simulation-service end-to-end smoke: build the server binary, then run the
 # load test (concurrent clients, dedup, warm-store restart) under -race.
@@ -49,12 +49,7 @@ cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
 # Short fuzz campaigns for the native targets, from an empty fuzz cache so
-# each budget fuzzes instead of replaying earlier runs' inputs.
+# each budget fuzzes instead of replaying earlier runs' inputs (the targets
+# live in scripts/fuzz.sh, which check also runs).
 fuzz:
-	go clean -fuzzcache
-	go test ./internal/isa -run '^$$' -fuzz 'FuzzEncodeDecodeRoundTrip$$' -fuzztime 10s -fuzzminimizetime 1s
-	go test ./internal/compiler -run '^$$' -fuzz 'FuzzCompilerPass$$' -fuzztime 10s -fuzzminimizetime 1s
-	go test ./internal/emulator -run '^$$' -fuzz 'FuzzBroadcastSkew$$' -fuzztime 10s -fuzzminimizetime 1s
-	go test ./internal/workgen -run '^$$' -fuzz 'FuzzGeneratedDifferential$$' -fuzztime 10s -fuzzminimizetime 1s
-	go test ./internal/tracefile -run '^$$' -fuzz 'FuzzTraceRoundTrip$$' -fuzztime 10s -fuzzminimizetime 1s
-	go test ./internal/sampling -run '^$$' -fuzz 'FuzzPlanFile$$' -fuzztime 10s -fuzzminimizetime 1s
+	sh scripts/fuzz.sh

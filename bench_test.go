@@ -110,30 +110,21 @@ func BenchmarkEngineSuite(b *testing.B) {
 	// shapes, and the recorded gomaxprocs states what the numbers mean.
 	// (BenchmarkSampledSuite pins 2 — its concurrency is the thing measured.)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	suiteFigures := []string{"figure1", "figure6", "figure8", "figure11", "figure13", "figure14", "figure15"}
-	figures := []func(*experiments.Runner) error{
-		func(r *experiments.Runner) error { _, err := r.Figure1(); return err },
-		func(r *experiments.Runner) error { _, err := r.Figure6(); return err },
-		func(r *experiments.Runner) error { _, err := r.Figure8(); return err },
-		func(r *experiments.Runner) error { _, err := r.Figure11(); return err },
-		func(r *experiments.Runner) error { _, err := r.Figure13(); return err },
-		func(r *experiments.Runner) error { _, err := r.Figure14(); return err },
-		func(r *experiments.Runner) error { _, err := r.Figure15(); return err },
-	}
+	suite := []string{"figure1", "figure6", "figure8", "figure11", "figure13", "figure14", "figure15"}
 	var last *experiments.Runner
 	var elapsed time.Duration
 	for i := 0; i < b.N; i++ {
 		r := QuickRunner()
 		start := time.Now()
-		reqs, err := r.FigureRequests(suiteFigures...)
+		reqs, err := r.FigureRequests(suite...)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if err := r.RunRequests(context.Background(), reqs); err != nil {
 			b.Fatal(err)
 		}
-		for _, fig := range figures {
-			if err := fig(r); err != nil {
+		for _, name := range suite {
+			if _, err := r.RunExperiment(name); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -20,7 +20,6 @@ import (
 
 	noreba "github.com/noreba-sim/noreba"
 	"github.com/noreba-sim/noreba/internal/experiments"
-	"github.com/noreba-sim/noreba/internal/metrics"
 )
 
 func main() {
@@ -72,29 +71,15 @@ func main() {
 		r = noreba.QuickRunner()
 	}
 
-	type figure struct {
-		n   int
-		run func(*experiments.Runner) (fmt.Stringer, error)
+	var figs []experiments.Experiment
+	for _, e := range experiments.Experiments() {
+		if e.Figure != 0 && (*fig == 0 || *fig == e.Figure) {
+			figs = append(figs, e)
+		}
 	}
-	figs := []figure{
-		{1, func(r *experiments.Runner) (fmt.Stringer, error) { return r.Figure1() }},
-		{6, func(r *experiments.Runner) (fmt.Stringer, error) { return r.Figure6() }},
-		{7, func(r *experiments.Runner) (fmt.Stringer, error) { return r.Figure7() }},
-		{8, func(r *experiments.Runner) (fmt.Stringer, error) { return r.Figure8() }},
-		{9, func(r *experiments.Runner) (fmt.Stringer, error) { return r.Figure9() }},
-		{10, func(r *experiments.Runner) (fmt.Stringer, error) { return r.Figure10() }},
-		{11, func(r *experiments.Runner) (fmt.Stringer, error) { return r.Figure11() }},
-		{12, func(r *experiments.Runner) (fmt.Stringer, error) { return r.Figure12() }},
-		{13, func(r *experiments.Runner) (fmt.Stringer, error) { return r.Figure13() }},
-		{14, func(r *experiments.Runner) (fmt.Stringer, error) { return r.Figure14() }},
-		{15, func(r *experiments.Runner) (fmt.Stringer, error) { return r.Figure15() }},
-		{16, func(r *experiments.Runner) (fmt.Stringer, error) {
-			pow, area, err := r.Figure16()
-			if err != nil {
-				return nil, err
-			}
-			return both{pow, area}, nil
-		}},
+	if len(figs) == 0 {
+		fmt.Fprintf(os.Stderr, "noreba-bench: no such figure %d (have 1, 6-16)\n", *fig)
+		os.Exit(1)
 	}
 
 	// Warm the runner through one batched pass over every selected figure's
@@ -103,47 +88,29 @@ func main() {
 	// one), and the figures below assemble from guaranteed cache hits.
 	var names []string
 	for _, f := range figs {
-		if *fig == 0 || *fig == f.n {
-			names = append(names, fmt.Sprintf("figure%d", f.n))
-		}
+		names = append(names, f.Name)
 	}
-	if len(names) > 0 {
-		start := time.Now()
-		reqs, err := r.FigureRequests(names...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "noreba-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := r.RunRequests(context.Background(), reqs); err != nil {
-			fmt.Fprintf(os.Stderr, "noreba-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(%d simulation requests warmed with %d functional emulations in %v)\n\n",
-			len(reqs), r.EmulationsRun(), time.Since(start).Round(time.Millisecond))
+	start := time.Now()
+	reqs, err := r.FigureRequests(names...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "noreba-bench: %v\n", err)
+		os.Exit(1)
 	}
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
+		fmt.Fprintf(os.Stderr, "noreba-bench: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("(%d simulation requests warmed with %d functional emulations in %v)\n\n",
+		len(reqs), r.EmulationsRun(), time.Since(start).Round(time.Millisecond))
 
-	ran := false
 	for _, f := range figs {
-		if *fig != 0 && *fig != f.n {
-			continue
-		}
-		ran = true
 		start := time.Now()
-		out, err := f.run(r)
+		out, err := r.RunExperiment(f.Name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "noreba-bench: figure %d: %v\n", f.n, err)
+			fmt.Fprintf(os.Stderr, "noreba-bench: figure %d: %v\n", f.Figure, err)
 			os.Exit(1)
 		}
 		fmt.Print(out.String())
-		fmt.Printf("(figure %d regenerated in %v)\n\n", f.n, time.Since(start).Round(time.Millisecond))
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "noreba-bench: no such figure %d (have 1, 6-16)\n", *fig)
-		os.Exit(1)
+		fmt.Printf("(figure %d regenerated in %v)\n\n", f.Figure, time.Since(start).Round(time.Millisecond))
 	}
 }
-
-// both joins Figure 16's two tables.
-type both struct{ a, b *metrics.Table }
-
-func (b both) String() string { return b.a.String() + "\n" + b.b.String() }

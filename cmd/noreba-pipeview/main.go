@@ -16,23 +16,17 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"strings"
 
 	noreba "github.com/noreba-sim/noreba"
+	"github.com/noreba-sim/noreba/internal/pipeline"
 	"github.com/noreba-sim/noreba/internal/trace"
 )
-
-var policies = map[string]noreba.Policy{
-	"inorder": noreba.PolicyInOrder,
-	"nonspec": noreba.PolicyNonSpecOoO,
-	"noreba":  noreba.PolicyNoreba,
-	"ideal":   noreba.PolicyIdealReconv,
-	"specbr":  noreba.PolicySpecBR,
-}
 
 // rec is one displayed instruction's lifecycle, folded from the event
 // stream. Cycle stamps are for the successful (committed) attempt: a squash
@@ -47,23 +41,35 @@ type rec struct {
 }
 
 func main() {
-	var (
-		workload   = flag.String("workload", "mcf", "built-in workload name")
-		policyName = flag.String("policy", "noreba", "commit policy: inorder|nonspec|noreba|ideal|specbr")
-		n          = flag.Int("n", 40, "instructions to display")
-		skip       = flag.Int("skip", 2000, "committed instructions to skip (warm-up)")
-		width      = flag.Int("width", 100, "timeline width in columns")
-		scale      = flag.Int("scale", 0, "workload scale (0 = default)")
-	)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "noreba-pipeview: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	policy, ok := policies[strings.ToLower(*policyName)]
-	if !ok {
-		fatalf("unknown policy %q", *policyName)
+// run renders the timeline the flags in args select to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("noreba-pipeview", flag.ContinueOnError)
+	var (
+		workload   = fs.String("workload", "mcf", "built-in workload name")
+		policyName = fs.String("policy", "noreba", "commit policy: inorder|nonspec|noreba|ideal|specbr|spec")
+		n          = fs.Int("n", 40, "instructions to display")
+		skip       = fs.Int("skip", 2000, "committed instructions to skip (warm-up)")
+		width      = fs.Int("width", 100, "timeline width in columns")
+		scale      = fs.Int("scale", 0, "workload scale (0 = default)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	policy, err := pipeline.ParsePolicy(*policyName)
+	if err != nil {
+		return err
 	}
 	w, err := noreba.WorkloadByName(*workload)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	s := w.DefaultScale
 	if *scale > 0 {
@@ -71,7 +77,7 @@ func main() {
 	}
 	res, err := noreba.Compile(w.Build(s))
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	cfg := noreba.Skylake(policy)
 	// Commit is the last lifecycle event, so capping the collector at
@@ -81,7 +87,7 @@ func main() {
 	cfg.TraceSink = col
 	st, err := noreba.SimulateSource(cfg, noreba.StreamTrace(res, 1<<20), res.Meta)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
 	// Fold the event stream into per-instruction records; commitOrder keeps
@@ -112,7 +118,7 @@ func main() {
 	}
 
 	if len(commitOrder) <= *skip {
-		fatalf("only %d instructions committed; lower -skip", len(commitOrder))
+		return fmt.Errorf("only %d instructions committed; lower -skip", len(commitOrder))
 	}
 	recs := commitOrder[*skip:]
 	if len(recs) > *n {
@@ -137,9 +143,9 @@ func main() {
 	}
 	col2 := func(cyc int64) int { return int((cyc - lo) / scaleDiv) }
 
-	fmt.Printf("workload %s, policy %s — cycles %d..%d (each column = %d cycle(s))\n",
+	fmt.Fprintf(stdout, "workload %s, policy %s — cycles %d..%d (each column = %d cycle(s))\n",
 		*workload, st.Policy, lo, hi, scaleDiv)
-	fmt.Printf("F fetch   I issue   X complete   C commit   c out-of-order commit   | queue id\n\n")
+	fmt.Fprintf(stdout, "F fetch   I issue   X complete   C commit   c out-of-order commit   | queue id\n\n")
 	for _, r := range recs {
 		line := make([]byte, col2(hi)+1)
 		for i := range line {
@@ -174,9 +180,10 @@ func main() {
 		if r.pc >= 0 && r.pc < len(res.Image.Insts) {
 			asm = res.Image.Insts[r.pc].String()
 		}
-		fmt.Printf("%6d %-26s %s |%s\n", r.idx, clip(asm, 26), string(line), queue)
+		fmt.Fprintf(stdout, "%6d %-26s %s |%s\n", r.idx, clip(asm, 26), string(line), queue)
 	}
-	fmt.Printf("\nIPC %.2f, %d/%d committed out of order\n", st.IPC(), st.OoOCommitted, st.Committed)
+	fmt.Fprintf(stdout, "\nIPC %.2f, %d/%d committed out of order\n", st.IPC(), st.OoOCommitted, st.Committed)
+	return nil
 }
 
 func clip(s string, n int) string {
@@ -184,9 +191,4 @@ func clip(s string, n int) string {
 		return s[:n-1] + "…"
 	}
 	return s
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "noreba-pipeview: "+format+"\n", args...)
-	os.Exit(1)
 }

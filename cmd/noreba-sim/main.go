@@ -30,18 +30,10 @@ import (
 	noreba "github.com/noreba-sim/noreba"
 	"github.com/noreba-sim/noreba/internal/compiler"
 	"github.com/noreba-sim/noreba/internal/emulator"
+	"github.com/noreba-sim/noreba/internal/pipeline"
 	"github.com/noreba-sim/noreba/internal/tracefile"
 	"github.com/noreba-sim/noreba/internal/workgen"
 )
-
-var policies = map[string]noreba.Policy{
-	"inorder": noreba.PolicyInOrder,
-	"nonspec": noreba.PolicyNonSpecOoO,
-	"noreba":  noreba.PolicyNoreba,
-	"ideal":   noreba.PolicyIdealReconv,
-	"specbr":  noreba.PolicySpecBR,
-	"spec":    noreba.PolicySpec,
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -110,21 +102,22 @@ func (c *cli) main(args []string) error {
 		return nil
 	}
 
-	policy, ok := policies[strings.ToLower(*policyName)]
-	if !ok {
-		return fmt.Errorf("unknown policy %q", *policyName)
+	policy, err := pipeline.ParsePolicy(*policyName)
+	if err != nil {
+		return err
 	}
-	var sweep []string
+	var sweep []noreba.Policy
 	if *policySet != "" {
 		for _, n := range strings.Split(*policySet, ",") {
-			n = strings.ToLower(strings.TrimSpace(n))
+			n = strings.TrimSpace(n)
 			if n == "" {
 				continue
 			}
-			if _, ok := policies[n]; !ok {
+			p, err := pipeline.ParsePolicy(n)
+			if err != nil {
 				return fmt.Errorf("unknown policy %q in -policies", n)
 			}
-			sweep = append(sweep, n)
+			sweep = append(sweep, p)
 		}
 		if len(sweep) == 0 {
 			return fmt.Errorf("-policies lists no policies")
@@ -152,16 +145,9 @@ func (c *cli) main(args []string) error {
 		return fmt.Errorf("-plan-store caches sampling plans; it requires -sample")
 	}
 
-	var cfg noreba.Config
-	switch strings.ToLower(*core) {
-	case "nhm":
-		cfg = noreba.Nehalem(policy)
-	case "hsw":
-		cfg = noreba.Haswell(policy)
-	case "skl":
-		cfg = noreba.Skylake(policy)
-	default:
-		return fmt.Errorf("unknown core %q", *core)
+	cfg, err := pipeline.CoreConfig(*core, policy)
+	if err != nil {
+		return err
 	}
 	cfg.PrefetchEnabled = !*noPrefetch
 	cfg.ECL = *ecl
@@ -338,11 +324,11 @@ func (c *cli) main(args []string) error {
 // policy's core consuming its own lockstep view — and prints a per-policy
 // comparison (IPC plus speedup over the first policy listed). It returns
 // errInterrupted when the sweep was cut short by a signal.
-func (c *cli) runPolicySweep(ctx context.Context, base noreba.Config, sweep []string, name string, src noreba.TraceSource, meta *compiler.Meta, asJSON bool) error {
+func (c *cli) runPolicySweep(ctx context.Context, base noreba.Config, sweep []noreba.Policy, name string, src noreba.TraceSource, meta *compiler.Meta, asJSON bool) error {
 	cfgs := make([]noreba.Config, len(sweep))
-	for i, pn := range sweep {
+	for i, p := range sweep {
 		cfgs[i] = base
-		cfgs[i].Policy = policies[pn]
+		cfgs[i].Policy = p
 	}
 	stats, err := noreba.SimulateFanoutContext(ctx, cfgs, src, meta)
 	interrupted := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
@@ -385,7 +371,7 @@ func (c *cli) runPolicySweep(ctx context.Context, base noreba.Config, sweep []st
 	fmt.Fprintf(c.stdout, "%-22s %12s %8s %8s %8s\n", "policy", "cycles", "IPC", "OoO%", "speedup")
 	for i, st := range stats {
 		if st == nil {
-			fmt.Fprintf(c.stdout, "%-22s %12s\n", sweep[i], "-")
+			fmt.Fprintf(c.stdout, "%-22s %12s\n", sweep[i].ShortName(), "-")
 			continue
 		}
 		fmt.Fprintf(c.stdout, "%-22s %12d %8.3f %7.1f%% %7.3fx\n",

@@ -1,175 +1,94 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/noreba-sim/noreba/internal/compiler"
-	"github.com/noreba-sim/noreba/internal/emulator"
 	"github.com/noreba-sim/noreba/internal/metrics"
 	"github.com/noreba-sim/noreba/internal/pipeline"
-	"github.com/noreba-sim/noreba/internal/workloads"
 )
 
 // AblationCIT sweeps the Committed Instructions Table size: the CIT bounds
 // how far beyond an unresolved branch NOREBA may commit, so undersizing it
 // caps the reach (and the speedup) while the paper's 128 entries are
 // comfortably past the knee for these kernels.
-func (r *Runner) AblationCIT() (*metrics.Table, error) {
+func (r *Runner) AblationCIT() (*metrics.Table, error) { return run(r, ablationCIT) }
+
+// AblationLoopMarking compares the default selective marking (loop-closing
+// branches unmarked) against exhaustively marking every analysable branch:
+// the exhaustive variant pays one setup instruction per block per loop
+// iteration for regions that are dependent anyway.
+func (r *Runner) AblationLoopMarking() (*metrics.Table, error) { return run(r, ablationLoopMarking) }
+
+// AblationBITSize sweeps the Branch ID Table size (number of usable
+// compiler IDs): a smaller BIT forces the ID allocator to leave overlapping
+// branches unmarked.
+func (r *Runner) AblationBITSize() (*metrics.Table, error) { return run(r, ablationBITSize) }
+
+// AblationPredictors measures how NOREBA's advantage depends on branch
+// prediction quality: with an oracle front end there are no misprediction
+// windows to hide, while a weak bimodal predictor shifts time from commit
+// stalls to recovery.
+func (r *Runner) AblationPredictors() (*metrics.Table, error) { return run(r, ablationPredictors) }
+
+func ablationCIT(g *grid) *metrics.Table {
 	sizes := []int{8, 16, 32, 64, 128, 256}
 	var cols []string
 	for _, s := range sizes {
 		cols = append(cols, fmt.Sprintf("CIT %d", s))
 	}
 	tab := metrics.NewTable("Ablation: CIT sizing (geomean speedup over InO-C)", cols...)
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	var reqs []Request
-	for _, name := range names {
-		reqs = append(reqs, Request{Workload: name, Config: skylake(pipeline.InOrder)})
-		for _, size := range sizes {
-			cfg := skylake(pipeline.Noreba)
-			cfg.Selective.CITSize = size
-			reqs = append(reqs, Request{Workload: name, Config: cfg})
-		}
-	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, err
-	}
 	var vals []float64
 	for _, size := range sizes {
-		var speedups []float64
-		for _, name := range names {
-			base, err := r.Simulate(name, skylake(pipeline.InOrder))
-			if err != nil {
-				return nil, err
-			}
-			cfg := skylake(pipeline.Noreba)
-			cfg.Selective.CITSize = size
-			st, err := r.Simulate(name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			speedups = append(speedups, metrics.Speedup(base.Cycles, st.Cycles))
-		}
-		vals = append(vals, metrics.Geomean(speedups))
+		cfg := skylake(pipeline.Noreba)
+		cfg.Selective.CITSize = size
+		vals = append(vals, geomeanSpeedup(g, skylake(pipeline.InOrder), cfg))
 	}
 	tab.AddRow("NOREBA", vals...)
-	return tab, nil
+	return tab
 }
 
-// AblationLoopMarking compares the default selective marking (loop-closing
-// branches unmarked) against exhaustively marking every analysable branch:
-// the exhaustive variant pays one setup instruction per block per loop
-// iteration for regions that are dependent anyway.
-func (r *Runner) AblationLoopMarking() (*metrics.Table, error) {
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	var reqs []Request
-	for _, name := range names {
-		reqs = append(reqs, Request{Workload: name, Config: skylake(pipeline.Noreba)})
-	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, err
-	}
+func ablationLoopMarking(g *grid) *metrics.Table {
 	tab := metrics.NewTable("Ablation: loop-branch marking (cycles exhaustive / cycles selective)",
-		append(append([]string{}, names...), "geomean")...)
-
+		append(append([]string{}, g.names...), "geomean")...)
+	exhaustive := compiler.DefaultOptions()
+	exhaustive.MarkLoopBranches = true
 	var ratios []float64
-	for _, name := range names {
-		selective, err := r.Simulate(name, skylake(pipeline.Noreba))
-		if err != nil {
-			return nil, err
-		}
-		exhaustive, err := r.simulateWithOptions(name, skylake(pipeline.Noreba), compiler.Options{
-			NumIDs: 8, MaxRegionLen: 31, MarkLoopBranches: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ratios = append(ratios, float64(exhaustive.Cycles)/float64(selective.Cycles))
+	for _, name := range g.names {
+		selective := g.sim(name, skylake(pipeline.Noreba))
+		marked := g.get(Request{Workload: name, Config: skylake(pipeline.Noreba), Compiler: exhaustive})
+		ratios = append(ratios, float64(marked.Cycles)/float64(selective.Cycles))
 	}
 	tab.AddRow("slowdown", append(ratios, metrics.Geomean(ratios))...)
-	return tab, nil
+	return tab
 }
 
-// simulateWithOptions recompiles the workload with explicit pass options
-// (bypassing the shared trace cache) and simulates it.
-func (r *Runner) simulateWithOptions(name string, cfg pipeline.Config, opt compiler.Options) (*pipeline.Stats, error) {
-	w, err := workloads.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	scale := w.DefaultScale / r.ScaleDiv
-	if scale < 2 {
-		scale = 2
-	}
-	res, err := compiler.Compile(w.Build(scale), opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.acquire(context.Background()); err != nil {
-		return nil, err
-	}
-	defer r.release()
-	src := emulator.NewSource(emulator.New(res.Image), r.MaxInsts)
-	return pipeline.NewCoreFromSource(cfg, src, res.Meta).Run()
-}
-
-// AblationBITSize sweeps the Branch ID Table size (number of usable
-// compiler IDs): a smaller BIT forces the ID allocator to leave overlapping
-// branches unmarked.
-func (r *Runner) AblationBITSize() (*metrics.Table, error) {
+func ablationBITSize(g *grid) *metrics.Table {
 	sizes := []int{2, 4, 8, 16}
 	var cols []string
 	for _, s := range sizes {
 		cols = append(cols, fmt.Sprintf("BIT %d", s))
 	}
 	tab := metrics.NewTable("Ablation: BIT/ID-space sizing (geomean speedup over InO-C)", cols...)
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	var reqs []Request
-	for _, name := range names {
-		reqs = append(reqs, Request{Workload: name, Config: skylake(pipeline.InOrder)})
-	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, err
-	}
 	var vals []float64
 	for _, size := range sizes {
+		cfg := skylake(pipeline.Noreba)
+		cfg.Selective.BITSize = size
+		opts := compiler.DefaultOptions()
+		opts.NumIDs = size
 		var speedups []float64
-		for _, name := range names {
-			base, err := r.Simulate(name, skylake(pipeline.InOrder))
-			if err != nil {
-				return nil, err
-			}
-			cfg := skylake(pipeline.Noreba)
-			cfg.Selective.BITSize = size
-			st, err := r.simulateWithOptions(name, cfg, compiler.Options{
-				NumIDs: size, MaxRegionLen: 31,
-			})
-			if err != nil {
-				return nil, err
-			}
+		for _, name := range g.names {
+			base := g.sim(name, skylake(pipeline.InOrder))
+			st := g.get(Request{Workload: name, Config: cfg, Compiler: opts})
 			speedups = append(speedups, metrics.Speedup(base.Cycles, st.Cycles))
 		}
 		vals = append(vals, metrics.Geomean(speedups))
 	}
 	tab.AddRow("NOREBA", vals...)
-	return tab, nil
+	return tab
 }
 
-// AblationPredictors measures how NOREBA's advantage depends on branch
-// prediction quality: with an oracle front end there are no misprediction
-// windows to hide, while a weak bimodal predictor shifts time from commit
-// stalls to recovery.
-func (r *Runner) AblationPredictors() (*metrics.Table, error) {
+func ablationPredictors(g *grid) *metrics.Table {
 	preds := []struct {
 		name string
 		kind pipeline.PredictorKind
@@ -183,43 +102,14 @@ func (r *Runner) AblationPredictors() (*metrics.Table, error) {
 		cols = append(cols, p.name)
 	}
 	tab := metrics.NewTable("Ablation: predictor sensitivity (geomean NOREBA speedup over InO-C, same predictor)", cols...)
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	var reqs []Request
-	for _, name := range names {
-		for _, p := range preds {
-			base := skylake(pipeline.InOrder)
-			base.Predictor = p.kind
-			cfg := skylake(pipeline.Noreba)
-			cfg.Predictor = p.kind
-			reqs = append(reqs, Request{Workload: name, Config: base}, Request{Workload: name, Config: cfg})
-		}
-	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, err
-	}
 	var vals []float64
 	for _, p := range preds {
-		var speedups []float64
-		for _, name := range names {
-			base := skylake(pipeline.InOrder)
-			base.Predictor = p.kind
-			baseSt, err := r.Simulate(name, base)
-			if err != nil {
-				return nil, err
-			}
-			cfg := skylake(pipeline.Noreba)
-			cfg.Predictor = p.kind
-			st, err := r.Simulate(name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			speedups = append(speedups, metrics.Speedup(baseSt.Cycles, st.Cycles))
-		}
-		vals = append(vals, metrics.Geomean(speedups))
+		base := skylake(pipeline.InOrder)
+		base.Predictor = p.kind
+		cfg := skylake(pipeline.Noreba)
+		cfg.Predictor = p.kind
+		vals = append(vals, geomeanSpeedup(g, base, cfg))
 	}
 	tab.AddRow("NOREBA", vals...)
-	return tab, nil
+	return tab
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/noreba-sim/noreba/internal/compiler"
 	"github.com/noreba-sim/noreba/internal/emulator"
 	"github.com/noreba-sim/noreba/internal/pipeline"
 )
@@ -19,7 +20,7 @@ func TestPipelineMatchesEmulatorArchitecturally(t *testing.T) {
 	const budget = 1 << 17
 	r := QuickRunner()
 	for _, name := range mustNames(t, r) {
-		res, err := compileWorkload(name, r.ScaleDiv)
+		res, err := compileWorkload(name, r.ScaleDiv, compiler.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,94 +10,202 @@ import (
 	"github.com/noreba-sim/noreba/internal/power"
 )
 
-// figureReqs maps a figure name ("figure1" … "figure16") to the builder of
-// its simulation requests. FigureN warms the cache by running its own
-// builder's requests; FigureRequests lets callers batch several figures'
-// requests through one RunRequests pass, so every configuration of a
-// workload shares a single functional emulation across figures.
-var figureReqs = map[string]func(*Runner) ([]Request, error){
-	"figure1":  (*Runner).figure1Reqs,
-	"figure6":  (*Runner).figure6Reqs,
-	"figure7":  (*Runner).figure7Reqs,
-	"figure8":  (*Runner).figure8Reqs,
-	"figure9":  (*Runner).figure9Reqs,
-	"figure10": (*Runner).figure10Reqs,
-	"figure11": (*Runner).figure11Reqs,
-	"figure12": (*Runner).figure12Reqs,
-	"figure13": (*Runner).figure13Reqs,
-	"figure14": (*Runner).figure14Reqs,
-	"figure15": (*Runner).figure15Reqs,
-	"figure16": (*Runner).figure16Reqs,
+// grid is what an experiment body reads: the runner's workload suite and
+// one result per simulation request. Each body is written once and run
+// twice — first against an accessor that only records the requests it reads
+// (the results are zero Stats), then, once those requests have run, against
+// their results — so a figure's configuration grid is declared in exactly
+// one place. What a body reads must depend only on the suite, never on the
+// results it gets, so its second pass reads the same requests in the same
+// order as its first.
+type grid struct {
+	names []string
+	get   func(Request) *pipeline.Stats
 }
 
-// FigureRequests returns the union of the named figures' simulation
-// requests (duplicates included — the scheduler coalesces them), for
-// batching through RunRequests. Figure names are "figure1" through
-// "figure16"; an unknown name is an error.
-func (r *Runner) FigureRequests(figures ...string) ([]Request, error) {
-	var out []Request
-	for _, f := range figures {
-		build, ok := figureReqs[f]
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown figure %q", f)
+// sim reads the full-detail run of workload under cfg, built with the
+// default compiler options.
+func (g *grid) sim(workload string, cfg pipeline.Config) *pipeline.Stats {
+	return g.get(Request{Workload: workload, Config: cfg})
+}
+
+// Experiment is one registry entry: a figure of the paper's evaluation or one
+// of this repository's ablations, by name ("figure6", "ablation-cit").
+type Experiment struct {
+	Name string
+	// Figure is the paper's figure number; 0 for an ablation.
+	Figure int
+	body   func(*grid) fmt.Stringer
+}
+
+func entry[T fmt.Stringer](name string, figure int, body func(*grid) T) Experiment {
+	return Experiment{Name: name, Figure: figure, body: func(g *grid) fmt.Stringer { return body(g) }}
+}
+
+// registry lists every experiment once: the figures in paper order, then the
+// ablations.
+var registry = []Experiment{
+	entry("figure1", 1, figure1),
+	entry("figure6", 6, figure6),
+	entry("figure7", 7, figure7),
+	entry("figure8", 8, figure8),
+	entry("figure9", 9, figure9),
+	entry("figure10", 10, figure10),
+	entry("figure11", 11, figure11),
+	entry("figure12", 12, figure12),
+	entry("figure13", 13, figure13),
+	entry("figure14", 14, figure14),
+	entry("figure15", 15, figure15),
+	entry("figure16", 16, figure16),
+	entry("ablation-cit", 0, ablationCIT),
+	entry("ablation-loop-marking", 0, ablationLoopMarking),
+	entry("ablation-bit-size", 0, ablationBITSize),
+	entry("ablation-predictors", 0, ablationPredictors),
+}
+
+// Experiments returns the registry in order: figures 1 and 6–16, then the
+// ablations.
+func Experiments() []Experiment { return append([]Experiment(nil), registry...) }
+
+func lookup(name string) (Experiment, error) {
+	for _, e := range registry {
+		if e.Name == name {
+			return e, nil
 		}
-		qs, err := build(r)
+	}
+	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q", name)
+}
+
+// FigureRequests returns the union of the named experiments' simulation
+// requests (duplicates included — the scheduler coalesces them), for
+// batching through RunRequests: every full-detail configuration of a build
+// then shares a single functional emulation across experiments. Names are
+// registry names (see Experiments); an unknown name is an error.
+func (r *Runner) FigureRequests(names ...string) ([]Request, error) {
+	suite, err := r.names()
+	if err != nil {
+		return nil, err
+	}
+	var out []Request
+	for _, name := range names {
+		e, err := lookup(name)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, qs...)
+		out = append(out, record(suite, e.body)...)
 	}
 	return out, nil
 }
 
-// speedupReqs lists the requests of a baseline-vs-rows speedup table.
-func (r *Runner) speedupReqs(baseline pipeline.Config, rows []pipeline.Config) ([]Request, error) {
-	names, err := r.names()
+// RunExperiment regenerates the named experiment (see Experiments).
+func (r *Runner) RunExperiment(name string) (fmt.Stringer, error) {
+	e, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	var reqs []Request
-	for _, name := range names {
-		reqs = append(reqs, Request{Workload: name, Config: baseline})
-		for _, cfg := range rows {
-			reqs = append(reqs, Request{Workload: name, Config: cfg})
-		}
-	}
-	return reqs, nil
+	return run(r, e.body)
 }
 
-// speedupTable runs the given policies over the suite — batched on the
-// broadcast-bus scheduler — and tabulates per-workload speedups over the
-// baseline config, plus a geomean column.
-func (r *Runner) speedupTable(title string, baseline pipeline.Config, rows []pipeline.Config) (*metrics.Table, error) {
+// record runs body against an accessor that only notes each request read.
+func record[T any](names []string, body func(*grid) T) []Request {
+	var reqs []Request
+	body(&grid{names: names, get: func(q Request) *pipeline.Stats {
+		reqs = append(reqs, q)
+		return &pipeline.Stats{}
+	}})
+	return reqs
+}
+
+// run regenerates one experiment: its recorded requests run in one
+// RunRequestsStream pass (cache hits after a FigureRequests warm-up), then
+// body runs again, its i-th read answered by the i-th request's result.
+func run[T any](r *Runner, body func(*grid) T) (T, error) {
+	var zero T
 	names, err := r.names()
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	reqs, err := r.speedupReqs(baseline, rows)
-	if err != nil {
-		return nil, err
+	reqs := record(names, body)
+	results := make([]*pipeline.Stats, len(reqs))
+	if err := r.RunRequestsStream(context.Background(), reqs, func(i int, st *pipeline.Stats, _ error) {
+		results[i] = st
+	}); err != nil {
+		return zero, err
 	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, err
-	}
-	tab := metrics.NewTable(title, append(append([]string{}, names...), "geomean")...)
+	next := 0
+	return body(&grid{names: names, get: func(Request) *pipeline.Stats {
+		next++
+		return results[next-1]
+	}}), nil
+}
+
+// Figure1 reproduces the motivation figure: NonSpeculative, SpeculativeBR
+// and fully Speculative OoO-commit speedups over in-order commit on the
+// Skylake-like core with prefetching.
+func (r *Runner) Figure1() (*metrics.Table, error) { return run(r, figure1) }
+
+// Figure6 is the main result: NonSpeculative, NOREBA, ideal-reconvergence
+// and SpeculativeBR OoO commit over InO-C.
+func (r *Runner) Figure6() (*metrics.Table, error) { return run(r, figure6) }
+
+// Figure7 reproduces the criticality scatter for bzip2 and mcf: for every
+// static branch, log10 of its dynamic dependent-instruction count against
+// log10 of the cycles it stalled commit, under in-order commit on SKL.
+func (r *Runner) Figure7() (*metrics.Scatter, error) { return run(r, figure7) }
+
+// Figure8 reports the fraction of dynamic instructions NOREBA commits out
+// of order, per workload.
+func (r *Runner) Figure8() (*metrics.Table, error) { return run(r, figure8) }
+
+// Figure9 sweeps the Selective ROB configuration — BR-CQ count × entries —
+// for two ROB′ sizes, reporting geomean performance normalised to the
+// ideal reconvergence commit with the same ROB size.
+func (r *Runner) Figure9() (*metrics.Table, error) { return run(r, figure9) }
+
+// Figure10 reports total core power for the same Selective ROB sweep,
+// normalised to the smallest configuration.
+func (r *Runner) Figure10() (*metrics.Table, error) { return run(r, figure10) }
+
+// Figure11 measures the cost of the setup instructions themselves: NOREBA
+// with fetched setup instructions versus a perfect design whose dependence
+// information reaches the hardware for free.
+func (r *Runner) Figure11() (*metrics.Table, error) { return run(r, figure11) }
+
+// Figure12 compares NOREBA's speedup over in-order commit across the
+// Nehalem-, Haswell- and Skylake-like cores (Table 3).
+func (r *Runner) Figure12() (*metrics.Table, error) { return run(r, figure12) }
+
+// Figure13 evaluates prefetching: in-order and NOREBA, with and without the
+// DCPT prefetcher, normalised to the NHM in-order core with prefetching.
+func (r *Runner) Figure13() (*metrics.Table, error) { return run(r, figure13) }
+
+// Figure14 measures Early Commit of Loads on both the in-order baseline and
+// NOREBA.
+func (r *Runner) Figure14() (*metrics.Table, error) { return run(r, figure14) }
+
+// Figure15 shows that widening in-order commit does not substitute for
+// out-of-order commit: InO-C with an 8-wide commit stage versus NOREBA.
+func (r *Runner) Figure15() (*metrics.Table, error) { return run(r, figure15) }
+
+// Figure16 reports the per-structure power and area of NOREBA normalised to
+// the in-order baseline core.
+func (r *Runner) Figure16() (*metrics.Table, *metrics.Table, error) {
+	t, err := run(r, figure16)
+	return t.power, t.area, err
+}
+
+// speedupTable tabulates per-workload speedups of each row config over the
+// baseline config, plus a geomean column.
+func speedupTable(g *grid, title string, baseline pipeline.Config, rows ...pipeline.Config) *metrics.Table {
+	tab := metrics.NewTable(title, append(append([]string{}, g.names...), "geomean")...)
 	for _, cfg := range rows {
 		var vals []float64
-		for _, name := range names {
-			base, err := r.Simulate(name, baseline)
-			if err != nil {
-				return nil, err
-			}
-			st, err := r.Simulate(name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, metrics.Speedup(base.Cycles, st.Cycles))
+		for _, name := range g.names {
+			vals = append(vals, metrics.Speedup(g.sim(name, baseline).Cycles, g.sim(name, cfg).Cycles))
 		}
 		tab.AddRow(rowName(cfg), append(vals, metrics.Geomean(vals))...)
 	}
-	return tab, nil
+	return tab
 }
 
 func rowName(cfg pipeline.Config) string {
@@ -117,76 +225,23 @@ func rowName(cfg pipeline.Config) string {
 	return name
 }
 
-// figure1Rows lists the non-baseline configurations of Figure 1.
-func figure1Rows() []pipeline.Config {
-	return []pipeline.Config{
-		skylake(pipeline.NonSpecOoO),
-		skylake(pipeline.SpecBR),
-		skylake(pipeline.Spec),
-	}
+func figure1(g *grid) *metrics.Table {
+	return speedupTable(g, "Figure 1: OoO-commit approaches over InO-C (SKL + prefetch)",
+		skylake(pipeline.InOrder),
+		skylake(pipeline.NonSpecOoO), skylake(pipeline.SpecBR), skylake(pipeline.Spec))
 }
 
-func (r *Runner) figure1Reqs() ([]Request, error) {
-	return r.speedupReqs(skylake(pipeline.InOrder), figure1Rows())
+func figure6(g *grid) *metrics.Table {
+	return speedupTable(g, "Figure 6: OoO-commit modes over InO-C (SKL)",
+		skylake(pipeline.InOrder),
+		skylake(pipeline.NonSpecOoO), skylake(pipeline.Noreba), skylake(pipeline.IdealReconv), skylake(pipeline.SpecBR))
 }
 
-// Figure1 reproduces the motivation figure: NonSpeculative, SpeculativeBR
-// and fully Speculative OoO-commit speedups over in-order commit on the
-// Skylake-like core with prefetching.
-func (r *Runner) Figure1() (*metrics.Table, error) {
-	return r.speedupTable(
-		"Figure 1: OoO-commit approaches over InO-C (SKL + prefetch)",
-		skylake(pipeline.InOrder), figure1Rows())
-}
-
-// figure6Rows lists the non-baseline configurations of Figure 6.
-func figure6Rows() []pipeline.Config {
-	return []pipeline.Config{
-		skylake(pipeline.NonSpecOoO),
-		skylake(pipeline.Noreba),
-		skylake(pipeline.IdealReconv),
-		skylake(pipeline.SpecBR),
-	}
-}
-
-func (r *Runner) figure6Reqs() ([]Request, error) {
-	return r.speedupReqs(skylake(pipeline.InOrder), figure6Rows())
-}
-
-// Figure6 is the main result: NonSpeculative, NOREBA, ideal-reconvergence
-// and SpeculativeBR OoO commit over InO-C.
-func (r *Runner) Figure6() (*metrics.Table, error) {
-	return r.speedupTable(
-		"Figure 6: OoO-commit modes over InO-C (SKL)",
-		skylake(pipeline.InOrder), figure6Rows())
-}
-
-func (r *Runner) figure7Reqs() ([]Request, error) {
-	return []Request{
-		{Workload: "bzip2", Config: skylake(pipeline.InOrder)},
-		{Workload: "mcf", Config: skylake(pipeline.InOrder)},
-	}, nil
-}
-
-// Figure7 reproduces the criticality scatter for bzip2 and mcf: for every
-// static branch, log10 of its dynamic dependent-instruction count against
-// log10 of the cycles it stalled commit, under in-order commit on SKL.
-func (r *Runner) Figure7() (*metrics.Scatter, error) {
+func figure7(g *grid) *metrics.Scatter {
 	sc := metrics.NewScatter("Figure 7: critical-branch distribution (SKL, InO-C)",
 		"log10(dependent instructions)", "log10(cycles ROB stalled)")
-	reqs, err := r.figure7Reqs()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, err
-	}
 	for _, name := range []string{"bzip2", "mcf"} {
-		st, err := r.Simulate(name, skylake(pipeline.InOrder))
-		if err != nil {
-			return nil, err
-		}
-		for _, bs := range st.BranchStalls {
+		for _, bs := range g.sim(name, skylake(pipeline.InOrder)).BranchStalls {
 			if bs.StallCycles <= 0 || bs.Occurrences == 0 {
 				continue
 			}
@@ -197,180 +252,70 @@ func (r *Runner) Figure7() (*metrics.Scatter, error) {
 			sc.Add(name, math.Log10(deps), math.Log10(float64(bs.StallCycles)))
 		}
 	}
-	return sc, nil
+	return sc
 }
 
-func (r *Runner) figure8Reqs() ([]Request, error) {
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	var reqs []Request
-	for _, name := range names {
-		reqs = append(reqs, Request{Workload: name, Config: skylake(pipeline.Noreba)})
-	}
-	return reqs, nil
-}
-
-// Figure8 reports the fraction of dynamic instructions NOREBA commits out
-// of order, per workload.
-func (r *Runner) Figure8() (*metrics.Table, error) {
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	reqs, err := r.figure8Reqs()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, err
-	}
-	tab := metrics.NewTable("Figure 8: dynamic instructions committed out-of-order (NOREBA, SKL)", names...)
+func figure8(g *grid) *metrics.Table {
+	tab := metrics.NewTable("Figure 8: dynamic instructions committed out-of-order (NOREBA, SKL)", g.names...)
 	var vals []float64
-	for _, name := range names {
-		st, err := r.Simulate(name, skylake(pipeline.Noreba))
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, st.OoOCommitFraction())
+	for _, name := range g.names {
+		vals = append(vals, g.sim(name, skylake(pipeline.Noreba)).OoOCommitFraction())
 	}
 	tab.AddRow("OoO-commit fraction", vals...)
-	return tab, nil
+	return tab
 }
 
 // brcqKnob is one Selective ROB sizing point: BR-CQ count × entries.
 type brcqKnob struct{ queues, entries int }
 
-var figure9Knobs = []brcqKnob{{1, 4}, {1, 8}, {2, 4}, {2, 8}, {2, 16}, {4, 8}, {4, 16}}
+func (k brcqKnob) String() string { return fmt.Sprintf("%dxBR-CQ/%d", k.queues, k.entries) }
 
-func (r *Runner) figure9Reqs() ([]Request, error) {
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	var reqs []Request
-	for _, robSize := range []int{224, 128} {
-		for _, name := range names {
-			ideal := skylake(pipeline.IdealReconv)
-			ideal.ROBSize = robSize
-			reqs = append(reqs, Request{Workload: name, Config: ideal})
-			for _, k := range figure9Knobs {
-				cfg := skylake(pipeline.Noreba)
-				cfg.ROBSize = robSize
-				cfg.Selective.NumBRCQs = k.queues
-				cfg.Selective.BRCQSize = k.entries
-				reqs = append(reqs, Request{Workload: name, Config: cfg})
-			}
-		}
-	}
-	return reqs, nil
+// norebaCfg returns the SKL NOREBA core sized at this knob.
+func (k brcqKnob) norebaCfg() pipeline.Config {
+	cfg := skylake(pipeline.Noreba)
+	cfg.Selective.NumBRCQs = k.queues
+	cfg.Selective.BRCQSize = k.entries
+	return cfg
 }
 
-// Figure9 sweeps the Selective ROB configuration — BR-CQ count × entries —
-// for two ROB′ sizes, reporting geomean performance normalised to the
-// ideal reconvergence commit with the same ROB size.
-func (r *Runner) Figure9() (*metrics.Table, error) {
-	knobs := figure9Knobs
+func knobTable(title string, knobs []brcqKnob) *metrics.Table {
 	var cols []string
 	for _, k := range knobs {
-		cols = append(cols, fmt.Sprintf("%dxBR-CQ/%d", k.queues, k.entries))
+		cols = append(cols, k.String())
 	}
-	tab := metrics.NewTable("Figure 9: Selective ROB sizing, normalised to ideal Reconvergence-OoO-C", cols...)
+	return metrics.NewTable(title, cols...)
+}
 
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	reqs, err := r.figure9Reqs()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, err
-	}
-
+func figure9(g *grid) *metrics.Table {
+	knobs := []brcqKnob{{1, 4}, {1, 8}, {2, 4}, {2, 8}, {2, 16}, {4, 8}, {4, 16}}
+	tab := knobTable("Figure 9: Selective ROB sizing, normalised to ideal Reconvergence-OoO-C", knobs)
 	for _, robSize := range []int{224, 128} {
+		ideal := skylake(pipeline.IdealReconv)
+		ideal.ROBSize = robSize
 		var vals []float64
 		for _, k := range knobs {
+			cfg := k.norebaCfg()
+			cfg.ROBSize = robSize
 			var ratios []float64
-			for _, name := range names {
-				ideal := skylake(pipeline.IdealReconv)
-				ideal.ROBSize = robSize
-				idealSt, err := r.Simulate(name, ideal)
-				if err != nil {
-					return nil, err
-				}
-				cfg := skylake(pipeline.Noreba)
-				cfg.ROBSize = robSize
-				cfg.Selective.NumBRCQs = k.queues
-				cfg.Selective.BRCQSize = k.entries
-				st, err := r.Simulate(name, cfg)
-				if err != nil {
-					return nil, err
-				}
-				ratios = append(ratios, float64(idealSt.Cycles)/float64(st.Cycles))
+			for _, name := range g.names {
+				ratios = append(ratios, float64(g.sim(name, ideal).Cycles)/float64(g.sim(name, cfg).Cycles))
 			}
 			vals = append(vals, metrics.Geomean(ratios))
 		}
 		tab.AddRow(fmt.Sprintf("ROB' %d", robSize), vals...)
 	}
-	return tab, nil
+	return tab
 }
 
-var figure10Knobs = []brcqKnob{{1, 4}, {1, 8}, {2, 4}, {2, 8}, {2, 16}, {4, 8}, {4, 16}, {8, 64}}
-
-func (r *Runner) figure10Reqs() ([]Request, error) {
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	var reqs []Request
-	for _, k := range figure10Knobs {
-		for _, name := range names {
-			cfg := skylake(pipeline.Noreba)
-			cfg.Selective.NumBRCQs = k.queues
-			cfg.Selective.BRCQSize = k.entries
-			reqs = append(reqs, Request{Workload: name, Config: cfg})
-		}
-	}
-	return reqs, nil
-}
-
-// Figure10 reports total core power for the same Selective ROB sweep,
-// normalised to the smallest configuration.
-func (r *Runner) Figure10() (*metrics.Table, error) {
-	knobs := figure10Knobs
-	var cols []string
-	for _, k := range knobs {
-		cols = append(cols, fmt.Sprintf("%dxBR-CQ/%d", k.queues, k.entries))
-	}
-	tab := metrics.NewTable("Figure 10: Selective ROB power, normalised to minimum configuration", cols...)
-
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	reqs, err := r.figure10Reqs()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, err
-	}
-
+func figure10(g *grid) *metrics.Table {
+	knobs := []brcqKnob{{1, 4}, {1, 8}, {2, 4}, {2, 8}, {2, 16}, {4, 8}, {4, 16}, {8, 64}}
+	tab := knobTable("Figure 10: Selective ROB power, normalised to minimum configuration", knobs)
 	var vals []float64
 	for _, k := range knobs {
+		cfg := k.norebaCfg()
 		var total float64
-		for _, name := range names {
-			cfg := skylake(pipeline.Noreba)
-			cfg.Selective.NumBRCQs = k.queues
-			cfg.Selective.BRCQSize = k.entries
-			st, err := r.Simulate(name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			total += power.Estimate(cfg, st).TotalPower()
+		for _, name := range g.names {
+			total += power.Estimate(cfg, g.sim(name, cfg)).TotalPower()
 		}
 		vals = append(vals, total)
 	}
@@ -384,56 +329,20 @@ func (r *Runner) Figure10() (*metrics.Table, error) {
 		vals[i] /= min
 	}
 	tab.AddRow("power", vals...)
-	return tab, nil
+	return tab
 }
 
-func (r *Runner) figure11Reqs() ([]Request, error) {
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	perfectCfg := skylake(pipeline.Noreba)
-	perfectCfg.FreeSetup = true
-	var reqs []Request
-	for _, name := range names {
-		reqs = append(reqs, Request{Workload: name, Config: skylake(pipeline.Noreba)}, Request{Workload: name, Config: perfectCfg})
-	}
-	return reqs, nil
-}
-
-// Figure11 measures the cost of the setup instructions themselves: NOREBA
-// with fetched setup instructions versus a perfect design whose dependence
-// information reaches the hardware for free.
-func (r *Runner) Figure11() (*metrics.Table, error) {
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	reqs, err := r.figure11Reqs()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, err
-	}
+func figure11(g *grid) *metrics.Table {
 	tab := metrics.NewTable("Figure 11: setup-instruction overhead (cycles with setup / cycles perfect)",
-		append(append([]string{}, names...), "geomean")...)
+		append(append([]string{}, g.names...), "geomean")...)
+	perfect := skylake(pipeline.Noreba)
+	perfect.FreeSetup = true
 	var vals []float64
-	for _, name := range names {
-		withSetup, err := r.Simulate(name, skylake(pipeline.Noreba))
-		if err != nil {
-			return nil, err
-		}
-		perfect := skylake(pipeline.Noreba)
-		perfect.FreeSetup = true
-		free, err := r.Simulate(name, perfect)
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, float64(withSetup.Cycles)/float64(free.Cycles))
+	for _, name := range g.names {
+		vals = append(vals, float64(g.sim(name, skylake(pipeline.Noreba)).Cycles)/float64(g.sim(name, perfect).Cycles))
 	}
 	tab.AddRow("overhead", append(vals, metrics.Geomean(vals))...)
-	return tab, nil
+	return tab
 }
 
 // coreConfigs returns the three Table 3 cores with the given policy.
@@ -445,192 +354,72 @@ func coreConfigs(policy pipeline.PolicyKind) []pipeline.Config {
 	return []pipeline.Config{nhm, hsw, skl}
 }
 
-func (r *Runner) figure12Reqs() ([]Request, error) {
-	names, err := r.names()
-	if err != nil {
-		return nil, err
+// geomeanSpeedup is the suite geomean of cfg's speedup over baseline.
+func geomeanSpeedup(g *grid, baseline, cfg pipeline.Config) float64 {
+	var speedups []float64
+	for _, name := range g.names {
+		speedups = append(speedups, metrics.Speedup(g.sim(name, baseline).Cycles, g.sim(name, cfg).Cycles))
 	}
-	inos := coreConfigs(pipeline.InOrder)
-	norebas := coreConfigs(pipeline.Noreba)
-	var reqs []Request
-	for i := range inos {
-		for _, name := range names {
-			reqs = append(reqs, Request{Workload: name, Config: inos[i]}, Request{Workload: name, Config: norebas[i]})
-		}
-	}
-	return reqs, nil
+	return metrics.Geomean(speedups)
 }
 
-// Figure12 compares NOREBA's speedup over in-order commit across the
-// Nehalem-, Haswell- and Skylake-like cores (Table 3).
-func (r *Runner) Figure12() (*metrics.Table, error) {
+func figure12(g *grid) *metrics.Table {
 	tab := metrics.NewTable("Figure 12: NOREBA speedup over InO-C per core", "NHM", "HSW", "SKL")
 	inos := coreConfigs(pipeline.InOrder)
-	norebas := coreConfigs(pipeline.Noreba)
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	reqs, err := r.figure12Reqs()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, err
-	}
 	var vals []float64
-	for i := range inos {
-		var speedups []float64
-		for _, name := range names {
-			base, err := r.Simulate(name, inos[i])
-			if err != nil {
-				return nil, err
-			}
-			st, err := r.Simulate(name, norebas[i])
-			if err != nil {
-				return nil, err
-			}
-			speedups = append(speedups, metrics.Speedup(base.Cycles, st.Cycles))
-		}
-		vals = append(vals, metrics.Geomean(speedups))
+	for i, nor := range coreConfigs(pipeline.Noreba) {
+		vals = append(vals, geomeanSpeedup(g, inos[i], nor))
 	}
 	tab.AddRow("NOREBA/InO-C", vals...)
-	return tab, nil
+	return tab
 }
 
-// figure13Variants are the policy/prefetcher combinations of Figure 13.
-var figure13Variants = []struct {
-	name     string
-	policy   pipeline.PolicyKind
-	prefetch bool
-}{
-	{"InO-C+pf", pipeline.InOrder, true},
-	{"NOREBA no-pf", pipeline.Noreba, false},
-	{"NOREBA+pf", pipeline.Noreba, true},
-}
-
-// figure13Base is Figure 13's normalisation baseline: the NHM in-order core.
-func figure13Base() pipeline.Config {
-	nhmBase := pipeline.NehalemConfig()
-	nhmBase.Policy = pipeline.InOrder
-	return nhmBase
-}
-
-func (r *Runner) figure13Reqs() ([]Request, error) {
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	var reqs []Request
-	for _, name := range names {
-		reqs = append(reqs, Request{Workload: name, Config: figure13Base()})
-		for _, v := range figure13Variants {
-			for _, core := range coreConfigs(v.policy) {
-				core.PrefetchEnabled = v.prefetch
-				reqs = append(reqs, Request{Workload: name, Config: core})
-			}
-		}
-	}
-	return reqs, nil
-}
-
-// Figure13 evaluates prefetching: in-order and NOREBA, with and without the
-// DCPT prefetcher, normalised to the NHM in-order core with prefetching.
-func (r *Runner) Figure13() (*metrics.Table, error) {
+func figure13(g *grid) *metrics.Table {
 	tab := metrics.NewTable("Figure 13: prefetching effectiveness (normalised to NHM InO-C + prefetch)",
 		"NHM", "HSW", "SKL")
-	nhmBase := figure13Base()
-	variants := figure13Variants
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	reqs, err := r.figure13Reqs()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, err
-	}
-	for _, v := range variants {
-		cores := coreConfigs(v.policy)
+	base := pipeline.NehalemConfig()
+	base.Policy = pipeline.InOrder
+	for _, v := range []struct {
+		name     string
+		policy   pipeline.PolicyKind
+		prefetch bool
+	}{
+		{"InO-C+pf", pipeline.InOrder, true},
+		{"NOREBA no-pf", pipeline.Noreba, false},
+		{"NOREBA+pf", pipeline.Noreba, true},
+	} {
 		var vals []float64
-		for _, core := range cores {
+		for _, core := range coreConfigs(v.policy) {
 			core.PrefetchEnabled = v.prefetch
-			var speedups []float64
-			for _, name := range names {
-				base, err := r.Simulate(name, nhmBase)
-				if err != nil {
-					return nil, err
-				}
-				st, err := r.Simulate(name, core)
-				if err != nil {
-					return nil, err
-				}
-				speedups = append(speedups, metrics.Speedup(base.Cycles, st.Cycles))
-			}
-			vals = append(vals, metrics.Geomean(speedups))
+			vals = append(vals, geomeanSpeedup(g, base, core))
 		}
 		tab.AddRow(v.name, vals...)
 	}
-	return tab, nil
+	return tab
 }
 
-// figure14Rows lists the non-baseline configurations of Figure 14.
-func figure14Rows() []pipeline.Config {
+func figure14(g *grid) *metrics.Table {
 	inoECL := skylake(pipeline.InOrder)
 	inoECL.ECL = true
 	norebaECL := skylake(pipeline.Noreba)
 	norebaECL.ECL = true
-	return []pipeline.Config{inoECL, skylake(pipeline.Noreba), norebaECL}
+	return speedupTable(g, "Figure 14: Early Commit of Loads (speedup over InO-C, SKL)",
+		skylake(pipeline.InOrder), inoECL, skylake(pipeline.Noreba), norebaECL)
 }
 
-func (r *Runner) figure14Reqs() ([]Request, error) {
-	return r.speedupReqs(skylake(pipeline.InOrder), figure14Rows())
-}
-
-// Figure14 measures Early Commit of Loads on both the in-order baseline and
-// NOREBA.
-func (r *Runner) Figure14() (*metrics.Table, error) {
-	return r.speedupTable(
-		"Figure 14: Early Commit of Loads (speedup over InO-C, SKL)",
-		skylake(pipeline.InOrder), figure14Rows())
-}
-
-// figure15Rows lists the non-baseline configurations of Figure 15.
-func figure15Rows() []pipeline.Config {
+func figure15(g *grid) *metrics.Table {
 	wide := skylake(pipeline.InOrder)
 	wide.CommitWidth = 8
-	return []pipeline.Config{wide, skylake(pipeline.Noreba)}
+	return speedupTable(g, "Figure 15: commit bandwidth (speedup over InO-C, SKL)",
+		skylake(pipeline.InOrder), wide, skylake(pipeline.Noreba))
 }
 
-func (r *Runner) figure15Reqs() ([]Request, error) {
-	return r.speedupReqs(skylake(pipeline.InOrder), figure15Rows())
-}
+// figure16Tables is Figure 16's pair of tables, printed power then area.
+type figure16Tables struct{ power, area *metrics.Table }
 
-// Figure15 shows that widening in-order commit does not substitute for
-// out-of-order commit: InO-C with an 8-wide commit stage versus NOREBA.
-func (r *Runner) Figure15() (*metrics.Table, error) {
-	return r.speedupTable(
-		"Figure 15: commit bandwidth (speedup over InO-C, SKL)",
-		skylake(pipeline.InOrder), figure15Rows())
-}
+func (t figure16Tables) String() string { return t.power.String() + "\n" + t.area.String() }
 
-func (r *Runner) figure16Reqs() ([]Request, error) {
-	names, err := r.names()
-	if err != nil {
-		return nil, err
-	}
-	var reqs []Request
-	for _, name := range names {
-		reqs = append(reqs, Request{Workload: name, Config: skylake(pipeline.InOrder)}, Request{Workload: name, Config: skylake(pipeline.Noreba)})
-	}
-	return reqs, nil
-}
-
-// Figure16 reports the per-structure power and area of NOREBA normalised to
-// the in-order baseline core.
-func (r *Runner) Figure16() (*metrics.Table, *metrics.Table, error) {
+func figure16(g *grid) figure16Tables {
 	var cols []string
 	for _, s := range power.AllStructures {
 		cols = append(cols, string(s))
@@ -639,28 +428,11 @@ func (r *Runner) Figure16() (*metrics.Table, *metrics.Table, error) {
 	powTab := metrics.NewTable("Figure 16: power by structure (normalised to InO-C total)", cols...)
 	areaTab := metrics.NewTable("Figure 16: area by structure (normalised to InO-C total)", cols...)
 
-	names, err := r.names()
-	if err != nil {
-		return nil, nil, err
-	}
-	reqs, err := r.figure16Reqs()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.RunRequests(context.Background(), reqs); err != nil {
-		return nil, nil, err
-	}
-
-	sum := func(policy pipeline.PolicyKind) (map[power.Structure]float64, map[power.Structure]float64, error) {
-		pw := map[power.Structure]float64{}
-		ar := map[power.Structure]float64{}
-		for _, name := range names {
-			cfg := skylake(policy)
-			st, err := r.Simulate(name, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			b := power.Estimate(cfg, st)
+	sum := func(policy pipeline.PolicyKind) (pw, ar map[power.Structure]float64) {
+		pw, ar = map[power.Structure]float64{}, map[power.Structure]float64{}
+		cfg := skylake(policy)
+		for _, name := range g.names {
+			b := power.Estimate(cfg, g.sim(name, cfg))
 			for s, v := range b.Power {
 				pw[s] += v
 			}
@@ -668,17 +440,10 @@ func (r *Runner) Figure16() (*metrics.Table, *metrics.Table, error) {
 				ar[s] += v
 			}
 		}
-		return pw, ar, nil
+		return pw, ar
 	}
-
-	basePw, baseAr, err := sum(pipeline.InOrder)
-	if err != nil {
-		return nil, nil, err
-	}
-	norPw, norAr, err := sum(pipeline.Noreba)
-	if err != nil {
-		return nil, nil, err
-	}
+	basePw, baseAr := sum(pipeline.InOrder)
+	norPw, norAr := sum(pipeline.Noreba)
 
 	total := func(m map[power.Structure]float64) float64 {
 		t := 0.0
@@ -699,7 +464,7 @@ func (r *Runner) Figure16() (*metrics.Table, *metrics.Table, error) {
 	}
 	addRows(powTab, basePw, norPw)
 	addRows(areaTab, baseAr, norAr)
-	return powTab, areaTab, nil
+	return figure16Tables{powTab, areaTab}
 }
 
 // Tables2And3 prints the system configuration tables the evaluation uses.

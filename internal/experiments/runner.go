@@ -93,8 +93,8 @@ type Runner struct {
 	BusSkew int
 
 	mu       sync.Mutex
-	compiles map[string]*compileJob
-	sims     map[simKey]*simJob
+	compiles map[buildKey]*compileJob
+	sims     map[string]*simJob // keyed by hashConfig, the store key
 	plans    map[planKey]*planJob
 	lru      *list.List // finished *simJob, front = most recently used
 
@@ -131,112 +131,31 @@ type simJob struct {
 	// Guarded by Runner.mu: a finished job sits in the LRU list under its
 	// key; an in-flight job (finished == false) is never evicted, so a
 	// concurrent eviction sweep cannot corrupt a singleflight in progress.
-	key      simKey
+	key      string
 	finished bool
 	elem     *list.Element
 }
 
-// simKey identifies one simulation request. The config portion is a
-// comparable struct mirroring every timing-relevant pipeline.Config field —
-// not a formatted string, so a key can never alias two distinct configs
-// through formatting ambiguity, and the compiler enforces that the key stays
-// a pure value. The normalized sampling parameters are part of the key:
-// a sampled estimate and a full run of the same configuration are distinct
-// results and must never coalesce or serve each other from cache.
-type simKey struct {
+// buildKey identifies one compiled program: a workload built under one set
+// of compiler options, the zero Options meaning compiler.DefaultOptions().
+type buildKey struct {
 	workload string
-	cfg      cfgKey
-	sampling sampling.Params
+	opts     compiler.Options
 }
 
 // planKey identifies one sampling plan: plans depend only on the workload's
 // compiled stream and the normalized sampling parameters, so every
-// configuration estimated under the same (workload, Params) shares one plan
-// — the profiling, pilot and checkpoint cost amortises across the suite.
+// configuration estimated under the same (build, Params) shares one plan —
+// the profiling, pilot and checkpoint cost amortises across the suite.
 type planKey struct {
-	workload string
-	params   sampling.Params
+	buildKey
+	params sampling.Params
 }
 
 type planJob struct {
 	done chan struct{}
 	pl   *sampling.Plan
 	err  error
-}
-
-// cfgKey mirrors pipeline.Config field-for-field, minus FenceGate and
-// TraceSink (function/interface values: not comparable, and observation
-// never changes results — the trace layer's timing-invariance tests hold
-// that line). TestCfgKeyCoversConfig asserts by reflection that every other
-// Config field has a same-named counterpart here and actually distinguishes
-// keys, so a newly added Config field cannot silently alias cache entries.
-//
-// The struct doubles as the canonical serialisation for the persistent
-// store: ConfigHash marshals it as JSON (fields emit in declaration order,
-// so the encoding is deterministic) and hashes the result. Reordering or
-// renaming fields therefore changes every store key — bump hashVersion when
-// the Stats schema changes instead.
-type cfgKey struct {
-	Name                                            string
-	FetchWidth, IssueWidth, CommitWidth             int
-	ROBSize, IQSize, LQSize, SQSize, RenameRegs     int
-	IntALUs, IntMulDiv, FPUs, LoadPorts, StorePorts int
-	FrontendDepth, MispredictPenalty, RASEntries    int
-	L1ISize, L1DSize, L2Size, L3Size                int
-	L1Lat, L2Lat, L3Lat, MemLat                     int64
-	CacheWays                                       int
-	PrefetchEnabled                                 bool
-	PrefetchDegree, PrefetchTable                   int
-	Predictor                                       pipeline.PredictorKind
-	Policy                                          pipeline.PolicyKind
-	Selective                                       pipeline.SelectiveROBConfig
-	ECL                                             bool
-	FreeSetup                                       bool
-	WindowFetchLimit                                int
-	PipeTraceLimit                                  int
-	Sanitize                                        bool
-}
-
-func keyOf(cfg pipeline.Config) cfgKey {
-	return cfgKey{
-		Name:              cfg.Name,
-		FetchWidth:        cfg.FetchWidth,
-		IssueWidth:        cfg.IssueWidth,
-		CommitWidth:       cfg.CommitWidth,
-		ROBSize:           cfg.ROBSize,
-		IQSize:            cfg.IQSize,
-		LQSize:            cfg.LQSize,
-		SQSize:            cfg.SQSize,
-		RenameRegs:        cfg.RenameRegs,
-		IntALUs:           cfg.IntALUs,
-		IntMulDiv:         cfg.IntMulDiv,
-		FPUs:              cfg.FPUs,
-		LoadPorts:         cfg.LoadPorts,
-		StorePorts:        cfg.StorePorts,
-		FrontendDepth:     cfg.FrontendDepth,
-		MispredictPenalty: cfg.MispredictPenalty,
-		RASEntries:        cfg.RASEntries,
-		L1ISize:           cfg.L1ISize,
-		L1DSize:           cfg.L1DSize,
-		L2Size:            cfg.L2Size,
-		L3Size:            cfg.L3Size,
-		L1Lat:             cfg.L1Lat,
-		L2Lat:             cfg.L2Lat,
-		L3Lat:             cfg.L3Lat,
-		MemLat:            cfg.MemLat,
-		CacheWays:         cfg.CacheWays,
-		PrefetchEnabled:   cfg.PrefetchEnabled,
-		PrefetchDegree:    cfg.PrefetchDegree,
-		PrefetchTable:     cfg.PrefetchTable,
-		Predictor:         cfg.Predictor,
-		Policy:            cfg.Policy,
-		Selective:         cfg.Selective,
-		ECL:               cfg.ECL,
-		FreeSetup:         cfg.FreeSetup,
-		WindowFetchLimit:  cfg.WindowFetchLimit,
-		PipeTraceLimit:    cfg.PipeTraceLimit,
-		Sanitize:          cfg.Sanitize,
-	}
 }
 
 // hashVersion tags the store-key schema: bump it whenever pipeline.Stats
@@ -247,17 +166,26 @@ func keyOf(cfg pipeline.Config) cfgKey {
 const hashVersion = "noreba-result-v2"
 
 // hashedConfig is the canonical content to be hashed for one simulation
-// request: everything that can influence the resulting Stats. Sampling holds
-// the normalized sampling parameters (the zero value for a full run), so a
-// sampled estimate's store entry can never be served for a full-run request
-// or vice versa.
+// request: everything that can influence the resulting Stats. It is both the
+// persistent-store key and the in-memory singleflight key, so the two can
+// never disagree about which requests are the same simulation.
+//
+// Cfg is the whole pipeline.Config, minus its json:"-" observation hooks
+// (FenceGate, TraceSink: observing never changes results). Its fields encode
+// in declaration order, so reordering or renaming Config fields changes
+// every store key — bump hashVersion when the Stats schema changes instead.
+// Sampling holds the normalized sampling parameters (the zero value for a
+// full run), so a sampled estimate's store entry can never be served for a
+// full-run request or vice versa. Compiler appears only for non-default
+// compiler options, so every default-build request keeps its hash.
 type hashedConfig struct {
 	Version  string
 	Workload string
 	MaxInsts int64
 	ScaleDiv int
-	Cfg      cfgKey
+	Cfg      pipeline.Config
 	Sampling sampling.Params
+	Compiler *compiler.Options `json:",omitempty"`
 }
 
 // ConfigHash returns the canonical content hash identifying one simulation
@@ -267,21 +195,25 @@ type hashedConfig struct {
 // Two requests share a hash if and only if they would produce identical
 // Stats, so the hash is a safe persistent-store key.
 func (r *Runner) ConfigHash(workload string, cfg pipeline.Config, p sampling.Params) string {
-	cfg, p = r.canonical(cfg, p)
-	return hashConfig(workload, r.MaxInsts, r.ScaleDiv, cfg, p)
+	return r.hashConfig(r.canonical(Request{Workload: workload, Config: cfg, Sampling: p}))
 }
 
-func hashConfig(workload string, maxInsts int64, scaleDiv int, cfg pipeline.Config, p sampling.Params) string {
-	b, err := json.Marshal(hashedConfig{
+// hashConfig hashes a canonical request (see canonical).
+func (r *Runner) hashConfig(q Request) string {
+	h := hashedConfig{
 		Version:  hashVersion,
-		Workload: workload,
-		MaxInsts: maxInsts,
-		ScaleDiv: scaleDiv,
-		Cfg:      keyOf(cfg),
-		Sampling: p,
-	})
+		Workload: q.Workload,
+		MaxInsts: r.MaxInsts,
+		ScaleDiv: r.ScaleDiv,
+		Cfg:      q.Config,
+		Sampling: q.Sampling,
+	}
+	if q.Compiler != (compiler.Options{}) {
+		h.Compiler = &q.Compiler
+	}
+	b, err := json.Marshal(h)
 	if err != nil {
-		// cfgKey is a pure value struct; Marshal cannot fail on it.
+		// Every hashed field is a plain value; Marshal cannot fail on them.
 		panic(err)
 	}
 	sum := sha256.Sum256(b)
@@ -292,8 +224,8 @@ func hashConfig(workload string, maxInsts int64, scaleDiv int, cfg pipeline.Conf
 func NewRunner() *Runner {
 	return &Runner{
 		MaxInsts: 1 << 20, ScaleDiv: 1,
-		compiles: map[string]*compileJob{},
-		sims:     map[simKey]*simJob{},
+		compiles: map[buildKey]*compileJob{},
+		sims:     map[string]*simJob{},
 		plans:    map[planKey]*planJob{},
 		lru:      list.New(),
 	}
@@ -341,21 +273,21 @@ func (r *Runner) names() ([]string, error) {
 	return out, nil
 }
 
-// compiled returns the annotated image and metadata of a workload, building
-// them on first use; concurrent requests for the same workload coalesce into
-// one compilation.
-func (r *Runner) compiled(name string) (*compiler.Result, error) {
+// compiled returns the annotated image and metadata of a workload under
+// the build's compiler options, building them on first use; concurrent
+// requests for the same build coalesce into one compilation.
+func (r *Runner) compiled(b buildKey) (*compiler.Result, error) {
 	r.mu.Lock()
-	if j, ok := r.compiles[name]; ok {
+	if j, ok := r.compiles[b]; ok {
 		r.mu.Unlock()
 		<-j.done
 		return j.res, j.err
 	}
 	j := &compileJob{done: make(chan struct{})}
-	r.compiles[name] = j
+	r.compiles[b] = j
 	r.mu.Unlock()
 
-	j.res, j.err = compileWorkload(name, r.ScaleDiv)
+	j.res, j.err = compileWorkload(b.workload, r.ScaleDiv, b.opts)
 	close(j.done)
 	return j.res, j.err
 }
@@ -366,16 +298,15 @@ func (r *Runner) compiled(name string) (*compiler.Result, error) {
 // whether the program is too short to sample (Plan.Full) — without running
 // an estimate.
 func (r *Runner) Plan(ctx context.Context, workload string, p sampling.Params) (*sampling.Plan, error) {
-	return r.planFor(ctx, workload, p.Normalize())
+	return r.planFor(ctx, planKey{buildKey{workload: workload}, p.Normalize()})
 }
 
-// planFor returns the sampling plan for (workload, p), building it on first
-// use on a worker-pool slot; concurrent requests for the same key coalesce
-// into one build. p must already be normalized. A cancelled build is removed
+// planFor returns the sampling plan for key, building it on first use on a
+// worker-pool slot; concurrent requests for the same key coalesce into one
+// build. key.params must already be normalized. A cancelled build is removed
 // so a later request retries it; deterministic failures stay cached like
 // simulation failures do.
-func (r *Runner) planFor(ctx context.Context, workload string, p sampling.Params) (*sampling.Plan, error) {
-	key := planKey{workload: workload, params: p}
+func (r *Runner) planFor(ctx context.Context, key planKey) (*sampling.Plan, error) {
 	r.mu.Lock()
 	if j, ok := r.plans[key]; ok {
 		r.mu.Unlock()
@@ -383,14 +314,14 @@ func (r *Runner) planFor(ctx context.Context, workload string, p sampling.Params
 		case <-j.done:
 			return j.pl, j.err
 		case <-ctx.Done():
-			return nil, fmt.Errorf("experiments: %s: plan: %w", workload, context.Cause(ctx))
+			return nil, fmt.Errorf("experiments: %s: plan: %w", key.workload, context.Cause(ctx))
 		}
 	}
 	j := &planJob{done: make(chan struct{})}
 	r.plans[key] = j
 	r.mu.Unlock()
 
-	j.pl, j.err = r.buildPlan(ctx, workload, p)
+	j.pl, j.err = r.buildPlan(ctx, key)
 
 	r.mu.Lock()
 	if j.err != nil && (errors.Is(j.err, context.Canceled) || errors.Is(j.err, context.DeadlineExceeded)) {
@@ -403,8 +334,9 @@ func (r *Runner) planFor(ctx context.Context, workload string, p sampling.Params
 	return j.pl, j.err
 }
 
-func (r *Runner) buildPlan(ctx context.Context, workload string, p sampling.Params) (*sampling.Plan, error) {
-	res, err := r.compiled(workload)
+func (r *Runner) buildPlan(ctx context.Context, key planKey) (*sampling.Plan, error) {
+	workload, p := key.workload, key.params
+	res, err := r.compiled(key.buildKey)
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +378,9 @@ func (r *Runner) buildPlan(ctx context.Context, workload string, p sampling.Para
 	return pl, nil
 }
 
-func compileWorkload(name string, scaleDiv int) (*compiler.Result, error) {
+// compileWorkload builds a workload at the runner's scale and compiles it
+// under opts, the zero Options meaning compiler.DefaultOptions().
+func compileWorkload(name string, scaleDiv int, opts compiler.Options) (*compiler.Result, error) {
 	w, err := workloads.ByName(name)
 	if err != nil {
 		return nil, err
@@ -455,7 +389,10 @@ func compileWorkload(name string, scaleDiv int) (*compiler.Result, error) {
 	if scale < 2 {
 		scale = 2
 	}
-	res, err := compiler.Compile(w.Build(scale), compiler.DefaultOptions())
+	if opts == (compiler.Options{}) {
+		opts = compiler.DefaultOptions()
+	}
+	res, err := compiler.Compile(w.Build(scale), opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -510,18 +447,23 @@ func normalize(cfg pipeline.Config) pipeline.Config {
 }
 
 // canonical applies the runner's request normalisations — the policy
-// convention, the runner-wide sanitizer and the sampling defaults — so keys,
-// store hashes and executions all see the same config and Params.
-func (r *Runner) canonical(cfg pipeline.Config, p sampling.Params) (pipeline.Config, sampling.Params) {
-	cfg = normalize(cfg)
+// convention, the runner-wide sanitizer, the sampling defaults and the
+// compiler defaults (spelled out, they become the zero Options) — so keys,
+// store hashes and executions all see the same request.
+func (r *Runner) canonical(q Request) Request {
+	q.Config = normalize(q.Config)
 	if r.Sanitize {
-		cfg.Sanitize = true
+		q.Config.Sanitize = true
 	}
-	return cfg, p.Normalize()
+	q.Sampling = q.Sampling.Normalize()
+	if q.Compiler == compiler.DefaultOptions() {
+		q.Compiler = compiler.Options{}
+	}
+	return q
 }
 
-// Simulate returns the full-detail run of one workload under cfg: the
-// figures' cache read after their RunRequests pass, or a fresh run.
+// Simulate returns the full-detail run of one workload under cfg, from the
+// cache or from a fresh run.
 func (r *Runner) Simulate(workload string, cfg pipeline.Config) (*pipeline.Stats, error) {
 	return r.SimulateSampledContext(context.Background(), workload, cfg, sampling.Params{})
 }
@@ -539,20 +481,23 @@ func (r *Runner) SimulateSampledContext(ctx context.Context, workload string, cf
 	return st, err
 }
 
-// Request names one simulation: a workload, a core configuration and a
-// sampling mode, whose zero value means a full detailed run. Callers can
-// gather the requests of several figures (see FigureRequests) and batch them
-// through one RunRequests pass, so every full-detail configuration of a
-// workload shares one functional emulation and every sampled one one plan.
+// Request names one simulation: a workload, a core configuration, a
+// sampling mode whose zero value means a full detailed run, and the compiler
+// options the workload is built with, whose zero value means
+// compiler.DefaultOptions(). Callers can gather the requests of several
+// figures (see FigureRequests) and batch them through one RunRequests pass,
+// so every full-detail configuration of a build shares one functional
+// emulation and every sampled one one plan.
 type Request struct {
 	Workload string
 	Config   pipeline.Config
 	Sampling sampling.Params
+	Compiler compiler.Options
 }
 
 // RunRequests runs every request (see RunRequestsStream) and returns the
-// first error after all of them settle. Figures call it to warm the cache,
-// then assemble their tables from guaranteed Simulate hits.
+// first error after all of them settle — e.g. to warm the cache with several
+// experiments' FigureRequests in one batch.
 func (r *Runner) RunRequests(ctx context.Context, reqs []Request) error {
 	return r.RunRequestsStream(ctx, reqs, nil)
 }
@@ -560,7 +505,8 @@ func (r *Runner) RunRequests(ctx context.Context, reqs []Request) error {
 // RunRequestsStream is the one way work executes on a runner. claim takes
 // each request's singleflight job or makes the request wait on an identical
 // job that is cached or in flight; the claimed jobs, grouped by (workload,
-// normalized Params), then run one group per goroutine (see execGroup).
+// compiler options, normalized Params), then run one group per goroutine
+// (see execGroup).
 // Results are bit-identical to independent runs: each core consumes the
 // exact solo stream and the model is deterministic.
 //
@@ -597,7 +543,7 @@ func (r *Runner) RunRequestsStream(ctx context.Context, reqs []Request, notify f
 			case <-w.j.done:
 				settle(w.idx, w.j.st, w.j.err)
 			case <-ctx.Done():
-				settle(w.idx, nil, fmt.Errorf("experiments: %s: %w", w.j.key.workload, context.Cause(ctx)))
+				settle(w.idx, nil, fmt.Errorf("experiments: %s: %w", reqs[w.idx].Workload, context.Cause(ctx)))
 			}
 		})
 	}
@@ -609,7 +555,7 @@ func (r *Runner) RunRequestsStream(ctx context.Context, reqs []Request, notify f
 }
 
 // claimed is one request and its singleflight job: reqs[idx] in the
-// caller's slice, its canonical config, and its store key once looked up.
+// caller's slice, its canonical config, and its key (hashConfig).
 type claimed struct {
 	idx  int
 	j    *simJob
@@ -617,50 +563,57 @@ type claimed struct {
 	hash string
 }
 
-// group is the claimed jobs of one (workload, normalized Params): the unit
-// that shares one functional emulation (full detail) or one sampling plan.
+// group is the claimed jobs of one (workload, compiler options, normalized
+// Params): the unit that shares one compiled program and one functional
+// emulation (full detail) or one sampling plan.
 type group struct {
 	planKey
 	jobs []claimed
 }
 
-// claim is the runner's one singleflight gate. Under a single lock it keys
-// every request after canonical: a key already cached or in flight makes the
-// request a waiter on that job (a cached job moves to the LRU front);
-// otherwise the request claims a new job, grouped with this call's other
-// claims of the same (workload, Params) in first-appearance order.
+// claim is the runner's one singleflight gate. It keys every request by
+// hashConfig of its canonical form — the persistent store's key — before
+// taking the lock, since hashing is the costly part; then, under a single
+// lock, a key already cached or in flight makes the request a waiter on that
+// job (a cached job moves to the LRU front), and otherwise the request claims
+// a new job, grouped with this call's other claims of the same (workload,
+// compiler options, Params) in first-appearance order.
 func (r *Runner) claim(reqs []Request) (groups []*group, waits []claimed) {
 	r.requests.Add(int64(len(reqs)))
+	canon := make([]Request, len(reqs))
+	hashes := make([]string, len(reqs))
+	for i, q := range reqs {
+		canon[i] = r.canonical(q)
+		hashes[i] = r.hashConfig(canon[i])
+	}
 	byKey := map[planKey]*group{}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, q := range reqs {
-		cfg, p := r.canonical(q.Config, q.Sampling)
-		key := simKey{workload: q.Workload, cfg: keyOf(cfg), sampling: p}
-		if j, ok := r.sims[key]; ok {
+	for i, q := range canon {
+		if j, ok := r.sims[hashes[i]]; ok {
 			if j.finished && j.elem != nil {
 				r.lru.MoveToFront(j.elem)
 			}
 			waits = append(waits, claimed{idx: i, j: j})
 			continue
 		}
-		j := &simJob{done: make(chan struct{}), key: key}
-		r.sims[key] = j
-		gk := planKey{workload: q.Workload, params: p}
+		j := &simJob{done: make(chan struct{}), key: hashes[i]}
+		r.sims[hashes[i]] = j
+		gk := planKey{buildKey{q.Workload, q.Compiler}, q.Sampling}
 		g := byKey[gk]
 		if g == nil {
 			g = &group{planKey: gk}
 			byKey[gk] = g
 			groups = append(groups, g)
 		}
-		g.jobs = append(g.jobs, claimed{idx: i, j: j, cfg: cfg})
+		g.jobs = append(g.jobs, claimed{idx: i, j: j, cfg: q.Config, hash: hashes[i]})
 	}
 	return groups, waits
 }
 
 // execGroup completes one group's claimed jobs. Each job is first looked up
-// in the persistent store, under hashConfig of its canonical request; the
-// rest execute on the worker pool:
+// in the persistent store under its key; the rest execute on the worker
+// pool:
 //
 //   - sampled: planFor builds (or loads, or waits for) the group's plan once,
 //     then every job estimates from it on its own goroutine and pool slot;
@@ -672,7 +625,6 @@ func (r *Runner) execGroup(ctx context.Context, g *group, settle func(int, *pipe
 	var pending []claimed
 	for _, c := range g.jobs {
 		if r.Store != nil {
-			c.hash = hashConfig(g.workload, r.MaxInsts, r.ScaleDiv, c.cfg, g.params)
 			if st, ok := r.Store.Get(c.hash); ok {
 				r.storeHits.Add(1)
 				r.finish(c, st, nil, settle)
@@ -685,10 +637,10 @@ func (r *Runner) execGroup(ctx context.Context, g *group, settle func(int, *pipe
 	if len(pending) == 0 {
 		return
 	}
-	res, err := r.compiled(g.workload)
+	res, err := r.compiled(g.buildKey)
 	var pl *sampling.Plan
 	if err == nil && g.params.Enabled {
-		pl, err = r.planFor(ctx, g.workload, g.params)
+		pl, err = r.planFor(ctx, g.planKey)
 	}
 	switch {
 	case err != nil:
@@ -901,7 +853,7 @@ func (r *Runner) PlanStoreHits() int64 { return r.planStoreHits.Load() }
 // through to a build.
 func (r *Runner) PlanStoreMisses() int64 { return r.planStoreMisses.Load() }
 
-// UniqueSimulations returns the number of distinct (workload, config) keys
+// UniqueSimulations returns the number of distinct request keys
 // currently resident in the in-memory cache (in-flight included).
 func (r *Runner) UniqueSimulations() int {
 	r.mu.Lock()

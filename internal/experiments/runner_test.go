@@ -7,44 +7,46 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/noreba-sim/noreba/internal/compiler"
 	"github.com/noreba-sim/noreba/internal/emulator"
 	"github.com/noreba-sim/noreba/internal/pipeline"
+	"github.com/noreba-sim/noreba/internal/sampling"
+	"github.com/noreba-sim/noreba/internal/trace"
 )
 
 // TestCfgKeyCoversConfig asserts by reflection that every pipeline.Config
-// field participates in the simulation cache key: a same-named field exists
-// on cfgKey, and mutating the Config field changes keyOf's result. A Config
-// field added without a key counterpart fails here instead of silently
-// aliasing cache entries. The exemptions are non-comparable observability
-// hooks (FenceGate is a function value, TraceSink an interface) that the
-// experiment suite never sets.
+// field participates in the request key: mutating any exported field changes
+// ConfigHash — the store key and the in-memory singleflight key alike. A
+// Config field that the hash skipped would silently alias cache entries. The
+// exemptions are the observability hooks (FenceGate is a function value,
+// TraceSink an interface), tagged json:"-": setting them must leave the key
+// unchanged, since observing a run never changes its results.
 func TestCfgKeyCoversConfig(t *testing.T) {
 	exempt := map[string]bool{"FenceGate": true, "TraceSink": true}
 
+	r := QuickRunner()
 	cfgType := reflect.TypeOf(pipeline.Config{})
-	keyType := reflect.TypeOf(cfgKey{})
 	base := pipeline.SkylakeConfig()
-	baseKey := keyOf(base)
+	base.Policy = pipeline.Noreba // normalize() leaves every field of an annotation policy alone
+	baseKey := r.ConfigHash("mcf", base, sampling.Params{})
 
 	for i := 0; i < cfgType.NumField(); i++ {
 		f := cfgType.Field(i)
-		if exempt[f.Name] {
+		if !f.IsExported() || exempt[f.Name] {
 			continue
 		}
-		kf, ok := keyType.FieldByName(f.Name)
-		if !ok {
-			t.Errorf("pipeline.Config.%s has no counterpart in cfgKey; add it so the cache cannot alias", f.Name)
-			continue
-		}
-		if kf.Type != f.Type {
-			t.Errorf("cfgKey.%s has type %v, Config has %v", f.Name, kf.Type, f.Type)
-		}
-
 		mutated := base
 		mutate(t, reflect.ValueOf(&mutated).Elem().FieldByName(f.Name), f.Name)
-		if keyOf(mutated) == baseKey {
-			t.Errorf("mutating pipeline.Config.%s does not change the cache key", f.Name)
+		if r.ConfigHash("mcf", mutated, sampling.Params{}) == baseKey {
+			t.Errorf("mutating pipeline.Config.%s does not change the request key", f.Name)
 		}
+	}
+
+	hooked := base
+	hooked.FenceGate = func(int64) bool { return true }
+	hooked.TraceSink = &trace.Collector{}
+	if r.ConfigHash("mcf", hooked, sampling.Params{}) != baseKey {
+		t.Error("setting FenceGate/TraceSink changed the request key")
 	}
 }
 
@@ -153,7 +155,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 
 	for _, name := range names {
-		res, err := compileWorkload(name, r.ScaleDiv)
+		res, err := compileWorkload(name, r.ScaleDiv, compiler.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

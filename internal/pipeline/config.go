@@ -9,6 +9,9 @@
 package pipeline
 
 import (
+	"fmt"
+	"strings"
+
 	"github.com/noreba-sim/noreba/internal/cache"
 	"github.com/noreba-sim/noreba/internal/trace"
 )
@@ -59,6 +62,36 @@ func (p PolicyKind) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// policyNames are the policies' short names: the spelling every command-line
+// tool and the service API accept (see ParsePolicy).
+var policyNames = [...]string{
+	InOrder:     "inorder",
+	NonSpecOoO:  "nonspec",
+	Noreba:      "noreba",
+	IdealReconv: "ideal",
+	SpecBR:      "specbr",
+	Spec:        "spec",
+}
+
+// ShortName returns the policy's short name, the inverse of ParsePolicy.
+func (p PolicyKind) ShortName() string {
+	if p < 0 || int(p) >= len(policyNames) {
+		return "unknown"
+	}
+	return policyNames[p]
+}
+
+// ParsePolicy maps a policy's short name, in any letter case, onto its
+// PolicyKind.
+func ParsePolicy(name string) (PolicyKind, error) {
+	for p, n := range policyNames {
+		if strings.EqualFold(name, n) {
+			return PolicyKind(p), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want %s)", name, strings.Join(policyNames[:], "|"))
 }
 
 // PredictorKind selects the branch direction predictor.
@@ -159,8 +192,10 @@ type Config struct {
 	// barrier: the fence whose zero-based ordinal is n may retire only
 	// when FenceGate(n) reports true. The multicore system uses this to
 	// model inter-core barriers (§4.5). A nil gate lets fences retire
-	// freely (single-core semantics).
-	FenceGate func(n int64) bool
+	// freely (single-core semantics). Excluded from JSON, like TraceSink:
+	// a function value cannot be encoded, and the experiment runner's
+	// request key (a JSON hash of the config) must not depend on hooks.
+	FenceGate func(n int64) bool `json:"-"`
 
 	// Sanitize enables the pipeline sanitizer: every cycle the core
 	// re-derives the paper's commit-legality rules (§4) plus structural
@@ -173,8 +208,9 @@ type Config struct {
 	// TraceSink, when non-nil, receives a structured trace.Event at every
 	// pipeline stage boundary (fetch, dispatch, issue, writeback, commit),
 	// squash, misprediction, L1 miss and early load-queue reclaim. A nil
-	// sink costs one branch per event site.
-	TraceSink trace.Sink
+	// sink costs one branch per event site. Observation never changes
+	// timing, so the sink is excluded from JSON (see FenceGate).
+	TraceSink trace.Sink `json:"-"`
 }
 
 func baseConfig() Config {
@@ -218,6 +254,24 @@ func NehalemConfig() Config {
 	c.Name = "NHM"
 	c.ROBSize, c.IQSize, c.LQSize, c.SQSize, c.RenameRegs = 128, 56, 48, 36, 64
 	return c
+}
+
+// CoreConfig returns the Table 3 core named nhm, hsw or skl (in any letter
+// case) with the given commit policy.
+func CoreConfig(name string, policy PolicyKind) (Config, error) {
+	var c Config
+	switch strings.ToLower(name) {
+	case "nhm":
+		c = NehalemConfig()
+	case "hsw":
+		c = HaswellConfig()
+	case "skl":
+		c = SkylakeConfig()
+	default:
+		return c, fmt.Errorf("unknown core %q (want nhm|hsw|skl)", name)
+	}
+	c.Policy = policy
+	return c, nil
 }
 
 // PhysRegs returns the total physical register count (64 architectural +

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/noreba-sim/noreba/internal/compiler"
@@ -370,5 +371,31 @@ func TestPrefetchingHelpsStridedKernel(t *testing.T) {
 	}
 	if stPf.PrefetchIssued == 0 {
 		t.Error("no prefetches issued")
+	}
+}
+
+// TestPolicyAndCoreNames pins the one name table the command-line tools and
+// the service share: every PolicyKind round-trips through its short name in
+// any letter case, and each Table 3 core resolves by its short name.
+func TestPolicyAndCoreNames(t *testing.T) {
+	for p := InOrder; p <= Spec; p++ {
+		for _, name := range []string{p.ShortName(), strings.ToUpper(p.ShortName())} {
+			got, err := ParsePolicy(name)
+			if err != nil || got != p {
+				t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, got, err, p)
+			}
+		}
+	}
+	if _, err := ParsePolicy("warp"); err == nil {
+		t.Error("ParsePolicy accepted an unknown name")
+	}
+	for name, want := range map[string]string{"nhm": "NHM", "HSW": "HSW", "skl": "SKL"} {
+		cfg, err := CoreConfig(name, Spec)
+		if err != nil || cfg.Name != want || cfg.Policy != Spec {
+			t.Errorf("CoreConfig(%q) = %s/%v, %v; want %s/%v", name, cfg.Name, cfg.Policy, err, want, Spec)
+		}
+	}
+	if _, err := CoreConfig("m1", Noreba); err == nil {
+		t.Error("CoreConfig accepted an unknown core")
 	}
 }

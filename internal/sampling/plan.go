@@ -95,6 +95,9 @@ type Plan struct {
 	// use (see windowSnap); nil on a built plan, whose WarmSnaps are whole.
 	windowSnaps []lazySnap
 	maxInsts    int64
+	// offsets locates a decoded plan's header fields in its NRPF bytes, so
+	// a binding mismatch names the offending field's offset.
+	offsets struct{ params, maxInsts, imgHash int64 }
 	// warmRate is the pilot run's cycles per delivered instruction for each
 	// interval, and warmCum its prefix sum at interval starts (warmCum[j] is
 	// the pilot cycle count at Intervals[j].Start; warmCum[n] at stream end).

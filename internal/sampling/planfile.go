@@ -472,6 +472,7 @@ func DecodePlan(data []byte) (*Plan, [sha256.Size]byte, error) {
 	if pl.Name, err = r.str("plan name", maxPlanNameLen); err != nil {
 		return nil, imgHash, err
 	}
+	pl.offsets.params = r.cr.pos
 	p := Params{Enabled: true}
 	if p.IntervalLen, err = r.varint("interval length"); err != nil {
 		return nil, imgHash, err
@@ -496,9 +497,11 @@ func DecodePlan(data []byte) (*Plan, [sha256.Size]byte, error) {
 		return nil, imgHash, err
 	}
 	pl.Params = p
+	pl.offsets.maxInsts = r.cr.pos
 	if pl.maxInsts, err = r.varint("max insts"); err != nil {
 		return nil, imgHash, err
 	}
+	pl.offsets.imgHash = r.cr.pos
 	if err = r.cr.readFull(imgHash[:]); err != nil {
 		return nil, imgHash, r.fail("reading image hash", err)
 	}
@@ -639,14 +642,16 @@ func LoadPlanHashed(data []byte, img *program.Image, imgHash [sha256.Size]byte, 
 		return nil, err
 	}
 	if gotHash != imgHash {
-		return nil, &FormatError{Offset: int64(len(planMagic)) + 1,
+		return nil, &FormatError{Offset: pl.offsets.imgHash,
 			Msg: fmt.Sprintf("image hash mismatch: plan built for %x, image is %x", gotHash[:8], imgHash[:8])}
 	}
 	if pl.maxInsts != maxInsts {
-		return nil, &FormatError{Msg: fmt.Sprintf("stream bound mismatch: plan built for %d, want %d", pl.maxInsts, maxInsts)}
+		return nil, &FormatError{Offset: pl.offsets.maxInsts,
+			Msg: fmt.Sprintf("stream bound mismatch: plan built for %d, want %d", pl.maxInsts, maxInsts)}
 	}
 	if norm := p.Normalize(); pl.Params != norm {
-		return nil, &FormatError{Msg: fmt.Sprintf("params mismatch: plan built for %+v, want %+v", pl.Params, norm)}
+		return nil, &FormatError{Offset: pl.offsets.params,
+			Msg: fmt.Sprintf("params mismatch: plan built for %+v, want %+v", pl.Params, norm)}
 	}
 	// Checkpoints stay in delta form until a window reads them (see
 	// windowSnap), so binding costs nothing per representative.

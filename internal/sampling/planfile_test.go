@@ -3,6 +3,7 @@ package sampling
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -197,17 +198,32 @@ func TestPlanFileStaleness(t *testing.T) {
 		}
 	}
 
+	// The header after the version byte: the name (uvarint length, bytes),
+	// the params, the stream bound (varint), then the image hash. A binding
+	// mismatch must name the offset of the field that disagrees.
+	paramsOff := planVersionOffset + 1 + int64(len(binary.AppendUvarint(nil, uint64(len(pl.Name))))+len(pl.Name))
+	hash := res.ImageHash()
+	hashOff := int64(bytes.Index(data, hash[:]))
+	maxInstsOff := hashOff - int64(len(binary.AppendVarint(nil, 1<<20)))
+	wantOffset := func(err error, what string, want int64) {
+		t.Helper()
+		wantFormatError(t, err, what)
+		if fe, _ := AsFormatError(err); fe.Offset != want || !strings.Contains(err.Error(), what) {
+			t.Errorf("%s: got %v, want a %s error at offset %d", what, err, what, want)
+		}
+	}
+
 	// A recompiled (different) program must never be served this plan.
 	_, err = LoadPlan(data, other.Image, 1<<20, p)
-	wantFormatError(t, err, "image mismatch")
+	wantOffset(err, "image hash mismatch", hashOff)
 
 	// Same image, different stream bound or sampling parameters.
 	_, err = LoadPlan(data, res.Image, 1<<19, p)
-	wantFormatError(t, err, "maxInsts mismatch")
+	wantOffset(err, "stream bound mismatch", maxInstsOff)
 	p2 := p
 	p2.IntervalLen = p.IntervalLen * 2
 	_, err = LoadPlan(data, res.Image, 1<<20, p2)
-	wantFormatError(t, err, "params mismatch")
+	wantOffset(err, "params mismatch", paramsOff)
 
 	// Trailing garbage: a concatenated or padded file is corrupt.
 	_, err = LoadPlan(append(append([]byte(nil), data...), 0xAA), res.Image, 1<<20, p)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"github.com/noreba-sim/noreba/internal/pipeline"
@@ -180,23 +179,19 @@ func (s *Server) SetClusterMetrics(fn func() *ClusterMetrics) { s.cluster = fn }
 func (s *Server) Scheduler() *Scheduler { return s.sched }
 
 // BuildConfig resolves a SubmitRequest into a job spec's pipeline config.
+// An empty core means skl.
 func BuildConfig(req SubmitRequest) (pipeline.Config, error) {
-	var cfg pipeline.Config
-	switch strings.ToLower(req.Core) {
-	case "", "skl":
-		cfg = pipeline.SkylakeConfig()
-	case "hsw":
-		cfg = pipeline.HaswellConfig()
-	case "nhm":
-		cfg = pipeline.NehalemConfig()
-	default:
-		return cfg, fmt.Errorf("unknown core %q (want nhm|hsw|skl)", req.Core)
+	core := req.Core
+	if core == "" {
+		core = "skl"
 	}
-	policy, err := ParsePolicy(req.Policy)
+	cfg, err := pipeline.CoreConfig(core, pipeline.Noreba)
 	if err != nil {
 		return cfg, err
 	}
-	cfg.Policy = policy
+	if cfg.Policy, err = ParsePolicy(req.Policy); err != nil {
+		return cfg, err
+	}
 	if req.Prefetch != nil {
 		cfg.PrefetchEnabled = *req.Prefetch
 	}
@@ -205,24 +200,13 @@ func BuildConfig(req SubmitRequest) (pipeline.Config, error) {
 	return cfg, nil
 }
 
-// ParsePolicy maps the API's policy names onto pipeline.PolicyKind.
+// ParsePolicy maps the API's policy names onto pipeline.PolicyKind: the
+// pipeline's short names (pipeline.ParsePolicy), with "" meaning NOREBA.
 func ParsePolicy(name string) (pipeline.PolicyKind, error) {
-	switch strings.ToLower(name) {
-	case "", "noreba":
+	if name == "" {
 		return pipeline.Noreba, nil
-	case "inorder":
-		return pipeline.InOrder, nil
-	case "nonspec":
-		return pipeline.NonSpecOoO, nil
-	case "ideal":
-		return pipeline.IdealReconv, nil
-	case "specbr":
-		return pipeline.SpecBR, nil
-	case "spec":
-		return pipeline.Spec, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q (want inorder|nonspec|noreba|ideal|specbr|spec)", name)
 	}
+	return pipeline.ParsePolicy(name)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

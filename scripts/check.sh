@@ -9,9 +9,6 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# Fail if a gated package's statement coverage drops below this floor.
-COVER_FLOOR=75
-
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
 	echo "gofmt needed:" >&2
@@ -72,38 +69,13 @@ go test -race -run 'TestSanitizeMatchesPlainStats' ./internal/pipeline
 # name, extending the emulationsRun guard below to the generated suite.
 go test -race -run 'TestGeneratedBatchSharesEmulation' ./internal/experiments
 
-# Coverage gate: the cycle model, the compiler pass, the service layer, the
-# sampling planner, the program generator and the trace codec are where a
-# silent regression costs the most, so they carry a hard floor.
-# Keep this list identical to the Makefile's cover target.
-for pkg in ./internal/pipeline ./internal/compiler ./internal/service ./internal/sampling ./internal/workgen ./internal/tracefile; do
-	pct=$(go test -cover "$pkg" | awk '/coverage:/ { sub("%", "", $(NF-2)); print $(NF-2) }')
-	if [ -z "$pct" ]; then
-		echo "check: no coverage reported for $pkg" >&2
-		exit 1
-	fi
-	if awk "BEGIN { exit !($pct < $COVER_FLOOR) }"; then
-		echo "check: $pkg coverage $pct% below floor $COVER_FLOOR%" >&2
-		exit 1
-	fi
-	echo "coverage $pkg: $pct% (floor $COVER_FLOOR%)"
-done
+# Coverage gate: a hard floor on the packages where a silent regression
+# costs the most (the list and the floor live in scripts/cover.sh).
+sh scripts/cover.sh
 
-# Fuzz smoke: a short budget per native fuzz target. Regressions in the
-# encode/decode round trip or the compiler pass tend to surface within
-# seconds; longer campaigns run out-of-band. Minimizing a newly found input
-# may take up to -fuzzminimizetime (default 60s) and executes nothing new
-# meanwhile, so the bound keeps each smoke fuzzing for its whole budget.
-# The fuzz cache is cleared first: a target whose cache already holds many
-# inputs (FuzzGeneratedDifferential runs ~2 a second) spends its whole budget
-# replaying them as baseline coverage and fuzzes nothing, yet still passes.
-go clean -fuzzcache
-go test ./internal/isa -run '^$' -fuzz 'FuzzEncodeDecodeRoundTrip$' -fuzztime 10s -fuzzminimizetime 1s
-go test ./internal/compiler -run '^$' -fuzz 'FuzzCompilerPass$' -fuzztime 10s -fuzzminimizetime 1s
-go test ./internal/emulator -run '^$' -fuzz 'FuzzBroadcastSkew$' -fuzztime 10s -fuzzminimizetime 1s
-go test ./internal/workgen -run '^$' -fuzz 'FuzzGeneratedDifferential$' -fuzztime 10s -fuzzminimizetime 1s
-go test ./internal/tracefile -run '^$' -fuzz 'FuzzTraceRoundTrip$' -fuzztime 10s -fuzzminimizetime 1s
-go test ./internal/sampling -run '^$' -fuzz 'FuzzPlanFile$' -fuzztime 10s -fuzzminimizetime 1s
+# Fuzz smoke: a short budget per native fuzz target, from an empty fuzz
+# cache (the targets and budgets live in scripts/fuzz.sh).
+sh scripts/fuzz.sh
 
 # Throughput regression guard: capture the committed engine baseline BEFORE
 # the bench run rewrites BENCH_engine.json, then fail if the fresh suite
