@@ -424,7 +424,7 @@ func TestForwardGroupTruncatedStream(t *testing.T) {
 	}
 
 	req := SweepRequest{Workloads: []string{workload}, Policies: []string{"inorder", "nonspec", "noreba"}}
-	rows, err := expandSweep(req, DefaultMaxPoints)
+	rows, err := expandSweep(req)
 	if err != nil {
 		t.Fatal(err)
 	}

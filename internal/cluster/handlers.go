@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"time"
 
-	"github.com/noreba-sim/noreba/internal/pipeline"
 	"github.com/noreba-sim/noreba/internal/service"
 	"github.com/noreba-sim/noreba/internal/workloads"
 )
@@ -27,10 +26,10 @@ import (
 func (n *Node) Mount(srv *service.Server) {
 	srv.Handle("POST /sweep", http.HandlerFunc(n.handleSweep))
 	srv.Handle("POST /cluster/sweepgroup", http.HandlerFunc(n.handleSweepGroup))
-	srv.Handle("GET /cluster/result/{hash}", http.HandlerFunc(n.handleResultGet))
-	srv.Handle("PUT /cluster/result/{hash}", http.HandlerFunc(n.handleResultPut))
-	srv.Handle("GET /cluster/plan/{hash}", http.HandlerFunc(n.handlePlanGet))
-	srv.Handle("PUT /cluster/plan/{hash}", http.HandlerFunc(n.handlePlanPut))
+	for _, k := range []kind{resultKind, planKind} {
+		srv.Handle("GET "+k.path("{hash}"), n.handleGet(k))
+		srv.Handle("PUT "+k.path("{hash}"), n.handlePut(k))
+	}
 	srv.Handle("GET /cluster/ping", http.HandlerFunc(n.handlePing))
 	srv.SetClusterMetrics(n.Metrics)
 }
@@ -45,7 +44,7 @@ func (n *Node) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	rows, err := expandSweep(req, n.maxPoints)
+	rows, err := expandSweep(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -110,78 +109,51 @@ func (n *Node) handleSweepGroup(w http.ResponseWriter, r *http.Request) {
 	emit.line(sweepDone{Type: "done", Points: len(greq.Rows), Errors: errs, ElapsedSec: round2(time.Since(emit.start).Seconds())})
 }
 
-// handleResultGet serves a key from this replica's local shard only — no
-// peer fallback, so result lookups can never loop through the fleet.
-func (n *Node) handleResultGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("hash")
-	if n.local == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no store on this replica"))
-		return
+// handleGet serves a key of kind k from this replica's local shard only —
+// no peer fallback, so lookups can never loop through the fleet — as the
+// stored bytes, which the fetching replica vets.
+func (n *Node) handleGet(k kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if n.local == nil {
+			httpError(w, http.StatusNotFound, fmt.Errorf("no store on this replica"))
+			return
+		}
+		data, ok := n.local.GetRaw(k.ns, r.PathValue("hash"), nil)
+		if !ok {
+			httpError(w, http.StatusNotFound, fmt.Errorf("not stored"))
+			return
+		}
+		w.Header().Set("Content-Type", k.mime)
+		w.Write(data)
 	}
-	st, ok := n.local.Get(key)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("not stored"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
 }
 
-// handleResultPut stores a replicated result into the local shard.
-func (n *Node) handleResultPut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("hash")
-	if n.local == nil {
+// handlePut stores a replicated artifact of kind k into the local shard. A
+// body over the kind's size cap or failing its check is answered 400 and
+// stores nothing.
+func (n *Node) handlePut(k kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if n.local == nil {
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		if r.ContentLength > k.max { // refuse a declared oversize body unread
+			httpError(w, http.StatusBadRequest, fmt.Errorf("%s body of %d bytes exceeds %d", k.route, r.ContentLength, k.max))
+			return
+		}
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, k.max))
+		if err == nil && k.check != nil {
+			err = k.check(data)
+		}
+		if err == nil {
+			err = n.local.PutRaw(k.ns, r.PathValue("hash"), data)
+		}
+		if err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad %s body: %w", k.route, err))
+			return
+		}
 		w.WriteHeader(http.StatusNoContent)
-		return
 	}
-	var st pipeline.Stats
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(&st); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad result body: %w", err))
-		return
-	}
-	if err := n.local.Put(key, &st); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handlePlanGet serves a sampling-plan blob from this replica's local shard
-// only — like results, never through a peer, so plan lookups cannot loop.
-// The bytes are opaque here: integrity lives in the plan file's own magic,
-// version and bounds checks at decode time.
-func (n *Node) handlePlanGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("hash")
-	if n.local == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no store on this replica"))
-		return
-	}
-	data, ok := n.local.GetBlob(key)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("not stored"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data)
-}
-
-// handlePlanPut stores a replicated sampling-plan blob into the local shard.
-func (n *Node) handlePlanPut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("hash")
-	if n.local == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPlanBlobBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad plan body: %w", err))
-		return
-	}
-	if err := n.local.PutBlob(key, data); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // handlePing answers the liveness probe with this replica's identity, so a

@@ -26,10 +26,31 @@ const (
 	maxBackoffShift    = 6 // caps backoff at base << 6 (16s at the default)
 )
 
-// maxPlanBlobBytes bounds one replicated sampling-plan blob in either
-// direction (a plan file carries BBV columns plus two architectural
-// snapshots per representative — typically KiBs to a few MiB).
-const maxPlanBlobBytes int64 = 64 << 20
+// kind is one artifact type the fleet replicates between shards. Results
+// (pipeline.Stats JSON) and sampling plans (opaque bytes) travel one byte
+// path — lookup and replicate over fetch and push, one GET and one PUT
+// handler each — and differ only in route, store namespace, size cap and
+// the check a PUT body must pass.
+type kind struct {
+	route string             // served at /cluster/{route}/{hash}
+	ns    service.Namespace  // the local shard's key space
+	mime  string             // Content-Type on the wire
+	max   int64              // size cap, in either direction
+	check func([]byte) error // vets a PUT body; nil accepts any bytes
+}
+
+var (
+	// resultKind: a Stats JSON is a few KiB, so 16 MiB is only a sanity cap.
+	resultKind = kind{"result", service.Results, "application/json", 16 << 20,
+		func(b []byte) error { return json.Unmarshal(b, new(pipeline.Stats)) }}
+	// planKind: a plan file carries BBV columns plus two architectural
+	// snapshots per representative — typically KiBs to a few MiB. Its bytes
+	// are opaque here: integrity lives in the plan file's own magic, version
+	// and bounds checks at decode time.
+	planKind = kind{"plan", service.Blobs, "application/octet-stream", 64 << 20, nil}
+)
+
+func (k kind) path(key string) string { return "/cluster/" + k.route + "/" + key }
 
 // Config assembles a replica's view of the fleet.
 type Config struct {
@@ -45,9 +66,6 @@ type Config struct {
 	// Local is this replica's own shard of the result store; nil disables
 	// persistence (every lookup below the peer layer misses).
 	Local *service.DiskStore
-	// Client issues peer RPCs; nil means a fresh http.Client. Per-request
-	// timeouts come from PeerTimeout, not the client.
-	Client *http.Client
 	// PeerTimeout bounds one peer RPC attempt (0 = DefaultPeerTimeout).
 	PeerTimeout time.Duration
 	// Retries is how many times a failed peer RPC is retried before the
@@ -57,12 +75,8 @@ type Config struct {
 	// (0 = DefaultBackoffBase). After f consecutive failures the peer is
 	// skipped for base<<(f-1), capped at base<<6.
 	BackoffBase time.Duration
-	// VNodes is the ring's virtual nodes per member (0 = DefaultVNodes).
-	VNodes int
 	// SweepMax bounds concurrently streaming sweeps (0 = DefaultSweepMax).
 	SweepMax int
-	// MaxPoints bounds one sweep's expanded grid (0 = DefaultMaxPoints).
-	MaxPoints int
 }
 
 // Node is one replica's cluster layer. It implements
@@ -84,8 +98,7 @@ type Node struct {
 	mu    sync.Mutex
 	peers map[string]*peerState
 
-	sweepSem  chan struct{}
-	maxPoints int
+	sweepSem chan struct{}
 
 	shardHits    atomic.Int64
 	peerHits     atomic.Int64
@@ -112,24 +125,20 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: Runner is required")
 	}
 	members := append([]string{cfg.Self}, cfg.Peers...)
-	ring, err := NewRing(members, cfg.VNodes)
+	ring, err := NewRing(members, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
 	n := &Node{
-		self:      cfg.Self,
-		ring:      ring,
-		runner:    cfg.Runner,
-		local:     cfg.Local,
-		client:    cfg.Client,
-		timeout:   cfg.PeerTimeout,
-		retries:   cfg.Retries,
-		backoff:   cfg.BackoffBase,
-		peers:     map[string]*peerState{},
-		maxPoints: cfg.MaxPoints,
-	}
-	if n.client == nil {
-		n.client = &http.Client{}
+		self:    cfg.Self,
+		ring:    ring,
+		runner:  cfg.Runner,
+		local:   cfg.Local,
+		client:  &http.Client{},
+		timeout: cfg.PeerTimeout,
+		retries: cfg.Retries,
+		backoff: cfg.BackoffBase,
+		peers:   map[string]*peerState{},
 	}
 	if n.timeout <= 0 {
 		n.timeout = DefaultPeerTimeout
@@ -141,9 +150,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if n.backoff <= 0 {
 		n.backoff = DefaultBackoffBase
-	}
-	if n.maxPoints <= 0 {
-		n.maxPoints = DefaultMaxPoints
 	}
 	sweepMax := cfg.SweepMax
 	if sweepMax <= 0 {
@@ -197,63 +203,46 @@ func (n *Node) markSuccess(url string) {
 	}
 }
 
-// Get implements experiments.ResultStore: the local shard first (shardHit),
-// then — if another replica owns the key and is not backed off — the owner
-// over HTTP (peerHit / peerMiss). Any failure degrades to a miss, which
-// makes the runner simulate locally: a dead owner costs duplicate work,
-// never availability.
+// Get implements experiments.ResultStore over lookup. A result that does
+// not decode as Stats, local or fetched, is a miss.
 func (n *Node) Get(key string) (*pipeline.Stats, bool) {
-	if n.local != nil {
-		if st, ok := n.local.Get(key); ok {
-			n.shardHits.Add(1)
-			return st, true
-		}
-	}
-	owner := n.ring.Owner(key)
-	if owner == n.self {
+	var st *pipeline.Stats
+	if _, ok := n.lookup(resultKind, key, func(b []byte) error {
+		st = new(pipeline.Stats)
+		return json.Unmarshal(b, st)
+	}); !ok {
 		return nil, false
-	}
-	st, err := n.fetchResult(owner, key)
-	switch {
-	case err != nil:
-		return nil, false // counted by fetchResult
-	case st == nil:
-		n.peerMisses.Add(1)
-		return nil, false
-	}
-	n.peerHits.Add(1)
-	if n.local != nil {
-		n.local.Put(key, st) // cache the fetched copy; best-effort
 	}
 	return st, true
 }
 
-// Put implements experiments.ResultStore: the result is always written to
-// the local shard (warm cache, and the degraded path depends on it), then
-// replicated to the owning replica so the fleet's canonical copy lands on
-// the right shard. Replication failures are non-fatal: the owner can
-// re-simulate or fetch later.
+// Put implements experiments.ResultStore over replicate.
 func (n *Node) Put(key string, st *pipeline.Stats) error {
-	var err error
-	if n.local != nil {
-		err = n.local.Put(key, st)
+	data, err := json.Marshal(st)
+	if err != nil {
+		return err
 	}
-	owner := n.ring.Owner(key)
-	if owner != n.self {
-		if n.pushResult(owner, key, st) == nil {
-			n.forwarded.Add(1)
-		}
-	}
-	return err
+	return n.replicate(resultKind, key, data)
 }
 
-// GetBlob implements experiments.BlobStore with the same topology as Get:
-// local shard first, then the owning replica. A fetched blob is cached into
-// the local shard so repeated plan loads stop crossing the network. Any
-// failure degrades to a miss — the runner rebuilds the plan locally.
-func (n *Node) GetBlob(key string) ([]byte, bool) {
+// GetBlob implements experiments.BlobStore over lookup: a missed plan is
+// rebuilt locally.
+func (n *Node) GetBlob(key string) ([]byte, bool) { return n.lookup(planKind, key, nil) }
+
+// PutBlob implements experiments.BlobStore over replicate, so one replica's
+// plan build amortises across the fleet.
+func (n *Node) PutBlob(key string, data []byte) error { return n.replicate(planKind, key, data) }
+
+// lookup returns key's bytes of kind k: the local shard's copy (shardHit),
+// else — if another replica owns the key and is not backed off — the
+// owner's (peerHit, cached into the local shard; peerMiss when the owner has
+// none). accept, when non-nil, vets bytes from either source: a local copy
+// it rejects is dropped as corrupt, a fetched one is a peerMiss. Any failure
+// degrades to a miss, which makes the runner simulate or rebuild locally: a
+// dead owner costs duplicate work, never availability.
+func (n *Node) lookup(k kind, key string, accept func([]byte) error) ([]byte, bool) {
 	if n.local != nil {
-		if data, ok := n.local.GetBlob(key); ok {
+		if data, ok := n.local.GetRaw(k.ns, key, accept); ok {
 			n.shardHits.Add(1)
 			return data, true
 		}
@@ -262,137 +251,74 @@ func (n *Node) GetBlob(key string) ([]byte, bool) {
 	if owner == n.self {
 		return nil, false
 	}
-	data, err := n.fetchBlob(owner, key)
+	data, err := n.fetch(k, owner, key, accept)
 	switch {
 	case err != nil:
-		return nil, false // counted by fetchBlob
+		return nil, false // counted by peerRPC
 	case data == nil:
 		n.peerMisses.Add(1)
 		return nil, false
 	}
 	n.peerHits.Add(1)
 	if n.local != nil {
-		n.local.PutBlob(key, data) // cache the fetched copy; best-effort
+		n.local.PutRaw(k.ns, key, data) // cache the fetched copy; best-effort
 	}
 	return data, true
 }
 
-// PutBlob implements experiments.BlobStore with the same topology as Put:
-// always into the local shard, replicated to the owning replica so one
-// replica's plan build amortises across the fleet.
-func (n *Node) PutBlob(key string, data []byte) error {
+// replicate writes data under key into the local shard (the warm cache, and
+// the degraded path depends on it), then pushes it to the key's owning
+// replica so the fleet's canonical copy lands on the right shard.
+// Replication failures are non-fatal: the owner can rebuild or fetch later.
+func (n *Node) replicate(k kind, key string, data []byte) error {
 	var err error
 	if n.local != nil {
-		err = n.local.PutBlob(key, data)
+		err = n.local.PutRaw(k.ns, key, data)
 	}
-	owner := n.ring.Owner(key)
-	if owner != n.self {
-		if n.pushBlob(owner, key, data) == nil {
-			n.forwarded.Add(1)
-		}
+	if owner := n.ring.Owner(key); owner != n.self && n.push(k, owner, key, data) == nil {
+		n.forwarded.Add(1)
 	}
 	return err
 }
 
-// fetchResult GETs key from owner's local shard. A nil *Stats with nil
-// error means the owner answered "not stored".
-func (n *Node) fetchResult(owner, key string) (*pipeline.Stats, error) {
-	var st *pipeline.Stats
-	err := n.peerRPC(owner, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/cluster/result/"+key, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := n.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer drain(resp.Body)
-		switch resp.StatusCode {
-		case http.StatusOK:
-			var s pipeline.Stats
-			if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-				return fmt.Errorf("decode result: %w", err)
-			}
-			st = &s
-			return nil
-		case http.StatusNotFound:
-			st = nil
-			return nil
-		default:
-			return fmt.Errorf("peer status %s", resp.Status)
-		}
-	})
-	return st, err
-}
-
-// pushResult PUTs key's result into owner's local shard.
-func (n *Node) pushResult(owner, key string, st *pipeline.Stats) error {
-	body, err := json.Marshal(st)
-	if err != nil {
-		return err
-	}
-	return n.peerRPC(owner, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, owner+"/cluster/result/"+key, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := n.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer drain(resp.Body)
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-			return fmt.Errorf("peer status %s", resp.Status)
-		}
-		return nil
-	})
-}
-
-// fetchBlob GETs a plan blob from owner's local shard. nil data with nil
-// error means the owner answered "not stored".
-func (n *Node) fetchBlob(owner, key string) ([]byte, error) {
+// fetch GETs key's bytes of kind k from owner's local shard, at most k.max
+// of them, and vets them with accept. nil data with nil error means the
+// owner has no usable copy: it answered "not stored", or accept rejected
+// what it served.
+func (n *Node) fetch(k kind, owner, key string, accept func([]byte) error) ([]byte, error) {
 	var data []byte
 	err := n.peerRPC(owner, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/cluster/plan/"+key, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := n.client.Do(req)
+		data = nil
+		resp, err := n.send(ctx, http.MethodGet, owner+k.path(key), "", nil)
 		if err != nil {
 			return err
 		}
 		defer drain(resp.Body)
 		switch resp.StatusCode {
 		case http.StatusOK:
-			data, err = io.ReadAll(io.LimitReader(resp.Body, maxPlanBlobBytes+1))
-			if err != nil {
-				return fmt.Errorf("read plan blob: %w", err)
-			}
-			if int64(len(data)) > maxPlanBlobBytes {
-				return fmt.Errorf("plan blob exceeds %d bytes", int64(maxPlanBlobBytes))
-			}
-			return nil
 		case http.StatusNotFound:
-			data = nil
 			return nil
 		default:
 			return fmt.Errorf("peer status %s", resp.Status)
 		}
+		if data, err = io.ReadAll(io.LimitReader(resp.Body, k.max+1)); err != nil {
+			return fmt.Errorf("read %s: %w", k.route, err)
+		}
+		if int64(len(data)) > k.max {
+			return fmt.Errorf("%s exceeds %d bytes", k.route, k.max)
+		}
+		if accept != nil && accept(data) != nil {
+			data = nil // a corrupt copy on the owner is a miss, not a dead peer
+		}
+		return nil
 	})
 	return data, err
 }
 
-// pushBlob PUTs a plan blob into owner's local shard.
-func (n *Node) pushBlob(owner, key string, data []byte) error {
+// push PUTs key's bytes of kind k into owner's local shard.
+func (n *Node) push(k kind, owner, key string, data []byte) error {
 	return n.peerRPC(owner, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, owner+"/cluster/plan/"+key, bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := n.client.Do(req)
+		resp, err := n.send(ctx, http.MethodPut, owner+k.path(key), k.mime, bytes.NewReader(data))
 		if err != nil {
 			return err
 		}
@@ -402,16 +328,24 @@ func (n *Node) pushBlob(owner, key string, data []byte) error {
 		}
 		return nil
 	})
+}
+
+// send issues one peer request; the caller drains the response body.
+func (n *Node) send(ctx context.Context, method, url, mime string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return nil, err
+	}
+	if mime != "" {
+		req.Header.Set("Content-Type", mime)
+	}
+	return n.client.Do(req)
 }
 
 // Ping probes url's /cluster/ping and updates its health state.
 func (n *Node) Ping(url string) error {
 	return n.peerRPC(url, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/cluster/ping", nil)
-		if err != nil {
-			return err
-		}
-		resp, err := n.client.Do(req)
+		resp, err := n.send(ctx, http.MethodGet, url+"/cluster/ping", "", nil)
 		if err != nil {
 			return err
 		}

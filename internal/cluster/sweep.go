@@ -23,8 +23,8 @@ const (
 	// further POST /sweep calls get 429 + Retry-After instead of queueing,
 	// so batch traffic can never occupy unbounded memory.
 	DefaultSweepMax = 2
-	// DefaultMaxPoints bounds one sweep's expanded grid.
-	DefaultMaxPoints = 4096
+	// maxSweepPoints bounds one sweep's expanded grid.
+	maxSweepPoints = 4096
 	// progressTargets is roughly how many progress lines a sweep emits.
 	progressTargets = 20
 )
@@ -136,7 +136,7 @@ type sweepGroup struct {
 // one broadcast batch), then cores, policies, windows. Every workload is
 // resolved — registering gen/ specs on demand — before any simulation
 // starts, so an invalid grid fails fast with a 400, not mid-stream.
-func expandSweep(req SweepRequest, maxPoints int) ([]sweepRow, error) {
+func expandSweep(req SweepRequest) ([]sweepRow, error) {
 	if len(req.Workloads) == 0 {
 		return nil, fmt.Errorf("workloads is required")
 	}
@@ -152,8 +152,8 @@ func expandSweep(req SweepRequest, maxPoints int) ([]sweepRow, error) {
 		windows = []int{0} // 0 = the core model's default ROB
 	}
 	points := len(req.Workloads) * len(cores) * len(req.Policies) * len(windows)
-	if points > maxPoints {
-		return nil, fmt.Errorf("grid has %d points, limit %d", points, maxPoints)
+	if points > maxSweepPoints {
+		return nil, fmt.Errorf("grid has %d points, limit %d", points, maxSweepPoints)
 	}
 	seen := map[string]bool{}
 	for _, w := range req.Workloads {
@@ -441,12 +441,7 @@ func (n *Node) forwardGroup(ctx context.Context, g sweepGroup, req SweepRequest,
 	if err != nil {
 		return err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, g.owner+"/cluster/sweepgroup", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := n.client.Do(hreq)
+	resp, err := n.send(ctx, http.MethodPost, g.owner+"/cluster/sweepgroup", "application/json", bytes.NewReader(body))
 	if err != nil {
 		n.peerErrors.Add(1)
 		n.markFailure(g.owner, time.Now())

@@ -19,7 +19,7 @@ func TestExpandSweep(t *testing.T) {
 		Policies:  []string{"inorder", "noreba"},
 		Windows:   []int{128, 224},
 	}
-	rows, err := expandSweep(req, DefaultMaxPoints)
+	rows, err := expandSweep(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +42,14 @@ func TestExpandSweep(t *testing.T) {
 	}
 
 	// Defaults: one core (skl), one window (the core's own ROB).
-	rows, err = expandSweep(SweepRequest{Workloads: []string{"sha"}, Policies: []string{"noreba"}}, DefaultMaxPoints)
+	rows, err = expandSweep(SweepRequest{Workloads: []string{"sha"}, Policies: []string{"noreba"}})
 	if err != nil || len(rows) != 1 || rows[0].Core != "skl" || rows[0].Window != 0 {
 		t.Fatalf("defaults: %+v, %v", rows, err)
 	}
 
 	// A fresh gen/ spec is registered during expansion.
 	gen := workgen.FromSeed(424242).Name()
-	if _, err := expandSweep(SweepRequest{Workloads: []string{gen}, Policies: []string{"noreba"}}, DefaultMaxPoints); err != nil {
+	if _, err := expandSweep(SweepRequest{Workloads: []string{gen}, Policies: []string{"noreba"}}); err != nil {
 		t.Fatalf("gen spec rejected: %v", err)
 	}
 }
@@ -71,12 +71,12 @@ func TestExpandSweepValidation(t *testing.T) {
 		{"bad workload", func(r *SweepRequest) { r.Workloads = []string{"nonsense"} }, "unknown workload"},
 		{"dup workload", func(r *SweepRequest) { r.Workloads = []string{"mcf", "mcf"} }, "duplicate workload"},
 		{"negative window", func(r *SweepRequest) { r.Windows = []int{-1} }, "negative window"},
-		{"too many points", func(r *SweepRequest) { r.Windows = make([]int, 11) }, "limit"},
+		{"too many points", func(r *SweepRequest) { r.Windows = make([]int, maxSweepPoints+1) }, "limit"},
 	}
 	for _, tc := range cases {
 		req := base()
 		tc.mut(&req)
-		_, err := expandSweep(req, 10)
+		_, err := expandSweep(req)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}

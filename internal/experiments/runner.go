@@ -87,10 +87,6 @@ type Runner struct {
 	// entries; in-flight singleflight jobs are never evicted). 0 means
 	// DefaultCacheLimit; negative means unbounded.
 	CacheLimit int
-	// BusSkew bounds how far the fastest core of a batched fan-out may run
-	// ahead of the slowest on the shared trace bus (see emulator.Broadcast);
-	// 0 means emulator.DefaultBusSkew.
-	BusSkew int
 
 	mu       sync.Mutex
 	compiles map[buildKey]*compileJob
@@ -710,7 +706,7 @@ func (r *Runner) execFanout(ctx context.Context, workload string, batch []claime
 	defer r.release()
 	r.emulationsRun.Add(1)
 
-	bus := emulator.NewBroadcast(emulator.NewSource(emulator.New(res.Image), r.MaxInsts), r.BusSkew)
+	bus := emulator.NewBroadcast(emulator.NewSource(emulator.New(res.Image), r.MaxInsts), 0)
 	tasks := make([]func(), len(batch))
 	for i, c := range batch {
 		view := bus.View()

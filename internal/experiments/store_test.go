@@ -182,6 +182,34 @@ func TestSimulateContextDeadline(t *testing.T) {
 	}
 }
 
+// TestSimulateSampledDeadline: a sampled estimate on a full-scale runner
+// stops at its deadline too. The second case is a deadline that has passed
+// while its timer has not fired yet (a loaded host can deliver a timer tens
+// of milliseconds late): only the detailed pilot's wall-clock check can see
+// it, so it must surface from there.
+func TestSimulateSampledDeadline(t *testing.T) {
+	short, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	late := lateTimer{Context: context.Background(), deadline: time.Now()}
+	for name, ctx := range map[string]context.Context{"timer fired": short, "timer late": late} {
+		r := NewRunner()
+		_, err := r.SimulateSampledContext(ctx, "dijkstra", quickCfg(pipeline.Noreba), sampling.Default())
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: err = %v, want context.DeadlineExceeded", name, err)
+		}
+	}
+}
+
+// lateTimer is a context whose deadline has passed but whose Done channel
+// has not closed.
+type lateTimer struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c lateTimer) Deadline() (time.Time, bool) { return c.deadline, true }
+func (c lateTimer) Done() <-chan struct{}       { return make(chan struct{}) }
+
 // TestRunnerCacheLRUEviction: with CacheLimit 2, running three distinct
 // configs evicts the least recently used finished entry, and an evicted
 // entry re-runs on the next request.

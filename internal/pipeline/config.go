@@ -179,15 +179,6 @@ type Config struct {
 	// slots: setup instructions are elided from the fetch stream.
 	FreeSetup bool
 
-	// WindowFetchLimit caps how many post-reconvergence instructions the
-	// front end fetches during a misprediction window.
-	WindowFetchLimit int
-
-	// PipeTraceLimit, when positive, records stage timestamps for the
-	// first N committed instructions into Stats.PipeTrace (the
-	// noreba-pipeview input).
-	PipeTraceLimit int
-
 	// FenceGate, when set, gates the commit of each synchronisation
 	// barrier: the fence whose zero-based ordinal is n may retire only
 	// when FenceGate(n) reports true. The multicore system uses this to
@@ -222,10 +213,9 @@ func baseConfig() Config {
 		L1Lat: 4, L2Lat: 12, L3Lat: 36, MemLat: 300,
 		CacheWays:       8,
 		PrefetchEnabled: true, PrefetchDegree: 4, PrefetchTable: 128,
-		Predictor:        PredTAGE,
-		Policy:           InOrder,
-		Selective:        DefaultSelectiveROB(),
-		WindowFetchLimit: 2048,
+		Predictor: PredTAGE,
+		Policy:    InOrder,
+		Selective: DefaultSelectiveROB(),
 	}
 }
 

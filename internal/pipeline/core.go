@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -199,7 +200,7 @@ const (
 // a modelling bug and are reported as an error.
 const maxCycles = int64(1) << 33
 
-// cancelCheckCycles is how often RunContext polls its context: a
+// cancelCheckCycles is how often RunUntil polls its context: a
 // non-blocking channel read every 4096 simulated cycles, cheap enough to be
 // invisible in profiles while bounding cancellation latency to well under a
 // millisecond of wall clock.
@@ -549,23 +550,24 @@ func (c *Core) Finalize() *Stats {
 }
 
 // StatsSnapshot returns a copy of the statistics as of the current cycle,
-// with the cache counters refreshed. The reference-typed fields
-// (BranchStalls, PipeTrace) are cleared in the copy: callers taking
-// mid-run snapshots (the sampler's measurement windows) difference
-// counters, and sharing live maps across snapshots would alias mutable
-// state. Finalize recomputes every derived field, so snapshotting mid-run
+// with the cache counters refreshed. The reference-typed BranchStalls map
+// is cleared in the copy: callers taking mid-run snapshots (the sampler's
+// measurement windows) difference counters, and sharing a live map across
+// snapshots would alias mutable state. Finalize recomputes every derived field, so snapshotting mid-run
 // does not disturb a later full finalization.
 func (c *Core) StatsSnapshot() Stats {
 	st := *c.Finalize()
 	st.BranchStalls = nil
-	st.PipeTrace = nil
 	return st
 }
 
 // CommittedCount returns the number of dynamic instructions committed so
-// far (excluding setup instructions). Callers stepping the core manually
-// use it to detect commit-count crossings.
+// far (excluding setup instructions). Callers stepping the core through
+// RunUntil use it to read where a segment ended.
 func (c *Core) CommittedCount() int64 { return c.stats.Committed }
+
+// Cycle returns the number of cycles simulated so far.
+func (c *Core) Cycle() int64 { return c.cycle }
 
 // Run simulates until every stream instruction has committed and returns the
 // statistics. If the source ends on an execution error (memory exception),
@@ -575,47 +577,62 @@ func (c *Core) CommittedCount() int64 { return c.stats.Committed }
 // the cycle and invariant name.
 func (c *Core) Run() (*Stats, error) { return c.RunContext(context.Background()) }
 
-// RunContext is Run with cooperative cancellation: every cancelCheckCycles
-// cycles the core polls ctx and, when it has been cancelled or its deadline
-// has passed, stops mid-run and returns the partial statistics accumulated
-// so far alongside an error wrapping the context's cause (so
-// errors.Is(err, context.Canceled/DeadlineExceeded) holds). The deadline is
-// compared against the wall clock directly rather than waiting for the
-// context's timer to fire: on a loaded box the runtime can deliver a timer
-// tens of milliseconds late, long enough for a short run to finish and
-// report success past its deadline. A background context adds no per-cycle
-// work beyond one nil check.
+// RunContext is Run with cooperative cancellation (see RunUntil): a
+// cancelled run returns the partial statistics accumulated so far alongside
+// an error wrapping the context's cause (so errors.Is(err,
+// context.Canceled/DeadlineExceeded) holds).
 func (c *Core) RunContext(ctx context.Context) (*Stats, error) {
+	err := c.RunUntil(ctx, math.MaxInt64)
+	st := c.Finalize()
+	if err != nil {
+		return st, err
+	}
+	if err := c.win.srcErr(); err != nil {
+		return st, fmt.Errorf("pipeline: trace source: %w", err)
+	}
+	return st, nil
+}
+
+// RunUntil steps the core until at least commits instructions have
+// committed (CommittedCount) or every stream instruction has; a target
+// already reached takes no step. Callers measuring a run in segments (the
+// sampler's pilot and its measurement windows) call it once per segment
+// boundary. Every cancelCheckCycles cycles the core polls ctx and, when it
+// has been cancelled or its deadline has passed, stops with an error
+// wrapping the context's cause. The deadline is compared against the wall
+// clock directly rather than waiting for the context's timer to fire: on a
+// loaded box the runtime can deliver a timer tens of milliseconds late, long
+// enough for a short run to finish and report success past its deadline. A
+// background context adds no per-cycle work beyond one nil check. A
+// sanitizer violation or a livelocked run (more than maxCycles cycles) stops
+// it with a *sanity.Error.
+func (c *Core) RunUntil(ctx context.Context, commits int64) error {
 	done := ctx.Done()
 	deadline, hasDeadline := ctx.Deadline()
-	for !c.Done() {
+	for c.stats.Committed < commits && !c.Done() {
 		if done != nil && c.cycle%cancelCheckCycles == 0 {
 			select {
 			case <-done:
-				return c.Finalize(), fmt.Errorf("pipeline: run cancelled at cycle %d: %w",
+				return fmt.Errorf("pipeline: run cancelled at cycle %d: %w",
 					c.cycle, context.Cause(ctx))
 			default:
 			}
 			if hasDeadline && !time.Now().Before(deadline) {
-				return c.Finalize(), fmt.Errorf("pipeline: run cancelled at cycle %d: %w",
+				return fmt.Errorf("pipeline: run cancelled at cycle %d: %w",
 					c.cycle, context.DeadlineExceeded)
 			}
 		}
 		if c.cycle > maxCycles {
-			return c.Finalize(), sanity.Errorf("core/livelock", c.cycle,
+			return sanity.Errorf("core/livelock", c.cycle,
 				"exceeded %d cycles at frontier %d with %d instructions pulled (policy %s)",
 				maxCycles, c.win.frontier, c.win.counts().Insts, c.cfg.Policy)
 		}
 		c.Step()
 		if c.sanErr != nil {
-			return c.Finalize(), c.sanErr
+			return c.sanErr
 		}
 	}
-	st := c.Finalize()
-	if err := c.win.srcErr(); err != nil {
-		return st, fmt.Errorf("pipeline: trace source: %w", err)
-	}
-	return st, nil
+	return nil
 }
 
 // ---- ROB list / scheduler maintenance ----
@@ -817,7 +834,6 @@ func (c *Core) commitEntry(e *Entry) {
 	}
 	c.activity++
 	e.committed = true
-	e.committedAt = c.cycle
 	if e.idx != c.win.frontier {
 		e.oooCommit = true
 	}
@@ -887,19 +903,6 @@ func (c *Core) commitEntry(e *Entry) {
 		c.sink.Emit(trace.Event{
 			Kind: trace.KindCommit, Cycle: c.cycle, Seq: e.Seq(), Idx: e.idx,
 			PC: e.pc, Arg: q, OoO: e.oooCommit,
-		})
-	}
-	if c.cfg.PipeTraceLimit > 0 && len(c.stats.PipeTrace) < c.cfg.PipeTraceLimit {
-		q := -1
-		if e.steered {
-			q = e.queue
-		}
-		// e.rec is still resident here: its release bound (min of frontier
-		// and cursor) can first pass e.idx at the end of this Step.
-		c.stats.PipeTrace = append(c.stats.PipeTrace, PipeRecord{
-			Idx: e.idx, PC: e.pc, Asm: e.rec.d.Inst.String(),
-			Fetched: e.fetchedAt, Issued: e.issuedAt, Done: e.doneAt,
-			Committed: e.committedAt, OoO: e.oooCommit, Queue: q,
 		})
 	}
 	c.stats.Committed++
@@ -1304,7 +1307,6 @@ func (c *Core) stepIssue() {
 		c.activity++
 		e.inReady = false
 		e.issued = true
-		e.issuedAt = c.cycle
 		c.iqOcc--
 		budget--
 		if c.traceOn {
@@ -1496,6 +1498,10 @@ func (c *Core) linkProducer(e *Entry, r isa.Reg) {
 
 // ---- fetch ----
 
+// windowFetchLimit caps how many post-reconvergence instructions the front
+// end fetches during a misprediction window.
+const windowFetchLimit = 2048
+
 func (c *Core) stepFetch() {
 	// Recycle entries drained earlier this cycle: nothing references them
 	// any more (tagged references went stale at queue time), and fetch is
@@ -1536,7 +1542,7 @@ func (c *Core) stepFetch() {
 	}
 
 	inWindow := len(c.pendingMisp) > 0
-	if inWindow && c.windowFetched >= c.cfg.WindowFetchLimit {
+	if inWindow && c.windowFetched >= windowFetchLimit {
 		return
 	}
 
@@ -1573,7 +1579,6 @@ func (c *Core) stepFetch() {
 		e.taken = r.d.Taken
 		e.dep = r.dep
 		e.decoded = r.decoded
-		e.fetchedAt = c.cycle
 		e.dispatchable = c.cycle + int64(c.cfg.FrontendDepth)
 		e.windowInst = inWindow
 		e.resident = -1
@@ -1627,7 +1632,7 @@ func (c *Core) stepFetch() {
 		}
 		if inWindow {
 			c.windowFetched++
-			if c.windowFetched >= c.cfg.WindowFetchLimit {
+			if c.windowFetched >= windowFetchLimit {
 				return
 			}
 		}

@@ -100,11 +100,9 @@ type Entry struct {
 
 	gen uint32 // pool generation; bumped on recycle
 
-	fetchedAt    int64
 	dispatchable int64 // earliest dispatch cycle (front-end depth)
 	dispatched   bool
 	issued       bool
-	issuedAt     int64
 	done         bool
 	doneAt       int64
 
@@ -144,10 +142,9 @@ type Entry struct {
 	resident int
 
 	// Commit state.
-	committed   bool
-	committedAt int64
-	oooCommit   bool // committed while not the oldest uncommitted entry
-	squashed    bool
+	committed bool
+	oooCommit bool // committed while not the oldest uncommitted entry
+	squashed  bool
 
 	// lqHeld marks a load that committed before its data returned (relaxed
 	// Condition 1): its load-queue entry stays allocated until completion.

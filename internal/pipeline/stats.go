@@ -70,11 +70,6 @@ type Stats struct {
 	// Per-branch criticality (keyed by PC).
 	BranchStalls map[int]*BranchStall
 
-	// PipeTrace holds per-instruction stage timestamps for the first
-	// Config.PipeTraceLimit committed instructions (the pipeline-viewer
-	// input); empty unless the limit is set.
-	PipeTrace []PipeRecord
-
 	// Sampling provenance: set by internal/sampling when the stats are a
 	// weighted extrapolation from representative intervals rather than a
 	// full detailed run. SampledDetailInsts is the number of dynamic
@@ -84,19 +79,6 @@ type Stats struct {
 	Sampled            bool
 	SampledIntervals   int
 	SampledDetailInsts int64
-}
-
-// PipeRecord is one committed instruction's journey through the pipeline.
-type PipeRecord struct {
-	Idx       int    // trace index
-	PC        int    // instruction address
-	Asm       string // disassembly
-	Fetched   int64
-	Issued    int64
-	Done      int64
-	Committed int64
-	OoO       bool // committed while older instructions remained
-	Queue     int  // Selective ROB queue (0 = PR-CQ, 1.. = BR-CQs, -1 = n/a)
 }
 
 // IPC returns committed instructions per cycle.

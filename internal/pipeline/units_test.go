@@ -5,6 +5,7 @@ import (
 
 	"github.com/noreba-sim/noreba/internal/isa"
 	"github.com/noreba-sim/noreba/internal/program"
+	"github.com/noreba-sim/noreba/internal/trace"
 )
 
 // TestCQTPressure: shrinking the Commit Queue Table forces steer stalls
@@ -76,32 +77,37 @@ func TestECLHelpsWhenLQBinds(t *testing.T) {
 	}
 }
 
-// TestPipeTraceRecords: the pipe-trace recorder captures ordered, sane
-// stage timestamps.
-func TestPipeTraceRecords(t *testing.T) {
+// TestTraceStageOrder: the trace-sink event stream stamps each committed
+// instruction's stages in order — issue and commit at or after the fetch
+// that brought the instruction in (a squashed instruction is refetched under
+// the same Seq, so the latest fetch counts).
+func TestTraceStageOrder(t *testing.T) {
 	tr, meta := buildTrace(t, mlpKernel(50), true)
 	cfg := testConfig(Noreba)
-	cfg.PipeTraceLimit = 100
-	st := runPolicy(t, cfg, tr, meta)
-	if len(st.PipeTrace) != 100 {
-		t.Fatalf("recorded %d records, want 100", len(st.PipeTrace))
+	col := &trace.Collector{Limit: 100}
+	cfg.TraceSink = col
+	runPolicy(t, cfg, tr, meta)
+	fetched := map[int64]int64{}
+	commits := 0
+	for _, e := range col.Events() {
+		switch e.Kind {
+		case trace.KindFetch:
+			fetched[e.Seq] = e.Cycle
+		case trace.KindIssue, trace.KindCommit:
+			f, ok := fetched[e.Seq]
+			if !ok {
+				t.Fatalf("idx %d: %v event before any fetch", e.Idx, e.Kind)
+			}
+			if e.Cycle < f {
+				t.Errorf("idx %d: %v at %d before fetch at %d", e.Idx, e.Kind, e.Cycle, f)
+			}
+			if e.Kind == trace.KindCommit {
+				commits++
+			}
+		}
 	}
-	for _, r := range st.PipeTrace {
-		if r.Committed < r.Fetched {
-			t.Errorf("idx %d committed at %d before fetch at %d", r.Idx, r.Committed, r.Fetched)
-		}
-		if r.Issued > 0 && r.Issued < r.Fetched {
-			t.Errorf("idx %d issued before fetch", r.Idx)
-		}
-		if r.Asm == "" {
-			t.Errorf("idx %d has empty disassembly", r.Idx)
-		}
-	}
-	// Limit respected.
-	cfg.PipeTraceLimit = 7
-	st = runPolicy(t, cfg, tr, meta)
-	if len(st.PipeTrace) != 7 {
-		t.Errorf("limit 7 produced %d records", len(st.PipeTrace))
+	if commits != 100 {
+		t.Fatalf("captured %d commits, want 100", commits)
 	}
 }
 

@@ -14,11 +14,6 @@ import (
 	"github.com/noreba-sim/noreba/internal/program"
 )
 
-// maxWindowCycles bounds one representative's detailed window, mirroring
-// RunContext's livelock guard at a scale proportionate to the short streams
-// the sampler simulates.
-const maxWindowCycles = 1 << 30
-
 // Rep is one representative interval chosen by clustering: the detailed
 // simulation unit. Its checkpoint holds the architectural state at the
 // start of its detailed warmup span; the measurement window opens once
@@ -386,36 +381,23 @@ func pilotCPI(ctx context.Context, src emulator.TraceSource, meta *compiler.Meta
 	}
 	cpi := make([]float64, len(prof.Intervals))
 	rate := make([]float64, len(prof.Intervals))
-	done := ctx.Done()
-	var cycle, lastCycle, lastCom int64
-	next := 0
-	for !core.Done() && next < len(crossings) {
-		if done != nil && cycle%4096 == 0 {
-			select {
-			case <-done:
-				return nil, nil, fmt.Errorf("sampling: %s: pilot cancelled: %w", prof.Name, context.Cause(ctx))
-			default:
-			}
+	var lastCycle, lastCom int64
+	for i, target := range crossings {
+		if err := core.RunUntil(ctx, target); err != nil {
+			return nil, nil, fmt.Errorf("sampling: %s: pilot: %w", prof.Name, err)
 		}
-		if cycle > maxWindowCycles {
-			return nil, nil, fmt.Errorf("sampling: %s: pilot livelock at cycle %d", prof.Name, cycle)
+		com := core.CommittedCount()
+		if com < target {
+			break // stream ended first
 		}
-		core.Step()
-		cycle++
-		if serr := core.SanityErr(); serr != nil {
-			return nil, nil, fmt.Errorf("sampling: %s: pilot: %w", prof.Name, serr)
+		cycle := core.Cycle()
+		if com > lastCom {
+			cpi[i] = float64(cycle-lastCycle) / float64(com-lastCom)
 		}
-		for next < len(crossings) && core.CommittedCount() >= crossings[next] {
-			com := core.CommittedCount() - lastCom
-			if com > 0 {
-				cpi[next] = float64(cycle-lastCycle) / float64(com)
-			}
-			if iv := &prof.Intervals[next]; iv.Insts > 0 {
-				rate[next] = float64(cycle-lastCycle) / float64(iv.Insts)
-			}
-			lastCycle, lastCom = cycle, core.CommittedCount()
-			next++
+		if iv := &prof.Intervals[i]; iv.Insts > 0 {
+			rate[i] = float64(cycle-lastCycle) / float64(iv.Insts)
 		}
+		lastCycle, lastCom = cycle, com
 	}
 	// Normalise the CPI column to mean 1 so the timing dimension is
 	// commensurate with the L1-normalised block dimensions; empty slots in
@@ -891,49 +873,16 @@ func (pl *Plan) measureRep(ctx context.Context, cfg pipeline.Config, meta *compi
 // statistics are snapshotted at the first commit-count crossing of
 // warmTarget (the pre-step state when warmTarget is 0, so counters inflated
 // by functional warming still cancel), end statistics at the crossing of
-// endTarget — or at stream completion, whichever comes first. Mirrors
-// RunContext's cancellation cadence and livelock guard. Errors carry full
-// provenance — workload, representative interval and commit policy — so
-// callers never have to re-wrap them.
+// endTarget — or at stream completion, whichever comes first (the cooldown
+// tail of the program's last interval can be shorter than the window).
+// Errors carry full provenance — workload, representative interval and
+// commit policy — so callers never have to re-wrap them.
 func runWindow(ctx context.Context, core *pipeline.Core, name string, interval int, policy pipeline.PolicyKind, warmTarget, endTarget int64) (warm, end pipeline.Stats, err error) {
-	done := ctx.Done()
-	warmTaken := warmTarget == 0
-	if warmTaken {
+	if err = core.RunUntil(ctx, warmTarget); err == nil {
 		warm = core.StatsSnapshot()
-	}
-	var cycle int64
-	for !core.Done() {
-		if done != nil && cycle%4096 == 0 {
-			select {
-			case <-done:
-				return warm, end, fmt.Errorf("sampling: %s interval %d under %v: window cancelled at cycle %d: %w",
-					name, interval, policy, cycle, context.Cause(ctx))
-			default:
-			}
-		}
-		if cycle > maxWindowCycles {
-			return warm, end, fmt.Errorf("sampling: %s interval %d under %v: window livelock: %d cycles at %d committed",
-				name, interval, policy, cycle, core.CommittedCount())
-		}
-		core.Step()
-		cycle++
-		if serr := core.SanityErr(); serr != nil {
-			return warm, end, fmt.Errorf("sampling: %s interval %d under %v: %w", name, interval, policy, serr)
-		}
-		c := core.CommittedCount()
-		if !warmTaken && c >= warmTarget {
-			warm = core.StatsSnapshot()
-			warmTaken = true
-		}
-		if warmTaken && c >= endTarget {
+		if err = core.RunUntil(ctx, endTarget); err == nil {
 			return warm, core.StatsSnapshot(), nil
 		}
 	}
-	// Stream complete before the end target: the cooldown tail was shorter
-	// than the stream's remainder (last interval of the program). The final
-	// state is the window close.
-	if !warmTaken {
-		warm = core.StatsSnapshot()
-	}
-	return warm, core.StatsSnapshot(), nil
+	return warm, end, fmt.Errorf("sampling: %s interval %d under %v: %w", name, interval, policy, err)
 }

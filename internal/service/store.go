@@ -52,14 +52,19 @@ type storeEntry struct {
 	elem *list.Element
 }
 
-// resultExt is the suffix of committed result files.
-const resultExt = ".json"
+// Namespace is one key space of the store, named by the suffix of its
+// files: a result and a blob under the same content hash coexist. Anything
+// in the store directory carrying neither suffix — in particular abandoned
+// temp files from a crash mid-put — is garbage-collected at open.
+type Namespace string
 
-// blobExt is the suffix of committed binary-artifact files (encoded sampling
-// plans). Anything in the store directory carrying neither suffix — in
-// particular abandoned temp files from a crash mid-Put — is garbage-collected
-// at open.
-const blobExt = ".bin"
+const (
+	// Results holds JSON-encoded pipeline.Stats (Get, Put).
+	Results Namespace = ".json"
+	// Blobs holds opaque binary artifacts, encoded sampling plans (GetBlob,
+	// PutBlob).
+	Blobs Namespace = ".bin"
+)
 
 // tempFileGrace is how old a non-result file must be before open-time
 // garbage collection may delete it: long enough that no live writer's
@@ -96,10 +101,10 @@ func OpenDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
 		name := de.Name()
 		var ext string
 		switch {
-		case strings.HasSuffix(name, resultExt):
-			ext = resultExt
-		case strings.HasSuffix(name, blobExt):
-			ext = blobExt
+		case strings.HasSuffix(name, string(Results)):
+			ext = string(Results)
+		case strings.HasSuffix(name, string(Blobs)):
+			ext = string(Blobs)
 		default:
 			// Abandoned temp file (crash between create and rename) —
 			// but only if it is actually stale: another process may be
@@ -149,61 +154,28 @@ func validKey(key string) bool {
 
 func (s *DiskStore) path(name string) string { return filepath.Join(s.dir, name) }
 
-// getFile returns the raw bytes of the named entry, bumping its recency. A
-// missing or unreadable file is forgotten and removed. Hit/miss accounting is
-// the caller's: a readable file can still be a miss (corrupt payload).
-func (s *DiskStore) getFile(name string) ([]byte, bool) {
+// GetRaw returns the bytes stored under key in namespace ns, bumping their
+// recency. accept, when non-nil, vets them: bytes it rejects are a corrupt
+// entry, forgotten and removed so they get rebuilt and rewritten, and the
+// lookup is a miss — as is a missing or unreadable file.
+func (s *DiskStore) GetRaw(ns Namespace, key string, accept func([]byte) error) ([]byte, bool) {
+	name := key + string(ns)
 	s.mu.Lock()
-	e := s.byName[name]
+	e := s.byName[name] // only valid keys are ever indexed
 	if e != nil {
 		s.lru.MoveToFront(e.elem)
 	}
 	s.mu.Unlock()
 	if e == nil {
+		s.misses.Add(1)
 		return nil, false
 	}
 	data, err := os.ReadFile(s.path(name))
+	if err == nil && accept != nil {
+		err = accept(data)
+	}
 	if err != nil {
 		s.drop(name)
-		return nil, false
-	}
-	return data, true
-}
-
-// Get returns the stored result for key, if present and readable. A missing
-// or corrupt file is a miss (the corrupt file is forgotten and removed so
-// it gets re-simulated and rewritten).
-func (s *DiskStore) Get(key string) (*pipeline.Stats, bool) {
-	if !validKey(key) {
-		s.misses.Add(1)
-		return nil, false
-	}
-	data, ok := s.getFile(key + resultExt)
-	if !ok {
-		s.misses.Add(1)
-		return nil, false
-	}
-	var st pipeline.Stats
-	if err := json.Unmarshal(data, &st); err != nil {
-		s.drop(key + resultExt)
-		s.misses.Add(1)
-		return nil, false
-	}
-	s.hits.Add(1)
-	return &st, true
-}
-
-// GetBlob returns the binary artifact stored under key (see PutBlob).
-// Payload integrity is the caller's concern — sampling plan files carry
-// their own magic, version and bounds checks, and a decode failure there
-// simply falls back to a rebuild.
-func (s *DiskStore) GetBlob(key string) ([]byte, bool) {
-	if !validKey(key) {
-		s.misses.Add(1)
-		return nil, false
-	}
-	data, ok := s.getFile(key + blobExt)
-	if !ok {
 		s.misses.Add(1)
 		return nil, false
 	}
@@ -211,10 +183,15 @@ func (s *DiskStore) GetBlob(key string) ([]byte, bool) {
 	return data, true
 }
 
-// putFile durably writes one entry (temp file, fsync, rename), then evicts
-// least-recently-used entries until the store fits its byte bound again (the
-// entry just written is always kept).
-func (s *DiskStore) putFile(name string, data []byte) error {
+// PutRaw durably stores data under key in namespace ns — written to a
+// temp file in the same directory, fsynced, then renamed into place — then
+// evicts least-recently-used entries until the store fits its byte bound
+// again (the entry just written is always kept).
+func (s *DiskStore) PutRaw(ns Namespace, key string, data []byte) error {
+	if !validKey(key) {
+		return fmt.Errorf("service: store put: invalid key %q", key)
+	}
+	name := key + string(ns)
 	tmp, err := os.CreateTemp(s.dir, name+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("service: store put: %w", err)
@@ -251,26 +228,36 @@ func (s *DiskStore) putFile(name string, data []byte) error {
 	return nil
 }
 
+// Get returns the stored result for key, if present and decodable.
+func (s *DiskStore) Get(key string) (*pipeline.Stats, bool) {
+	var st *pipeline.Stats
+	if _, ok := s.GetRaw(Results, key, func(b []byte) error {
+		st = new(pipeline.Stats)
+		return json.Unmarshal(b, st)
+	}); !ok {
+		return nil, false
+	}
+	return st, true
+}
+
 // Put durably stores st under key.
 func (s *DiskStore) Put(key string, st *pipeline.Stats) error {
-	if !validKey(key) {
-		return fmt.Errorf("service: store put: invalid key %q", key)
-	}
 	data, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("service: store put: %w", err)
 	}
-	return s.putFile(key+resultExt, data)
+	return s.PutRaw(Results, key, data)
 }
+
+// GetBlob returns the binary artifact stored under key (see PutBlob).
+// Payload integrity is the caller's concern — sampling plan files carry
+// their own magic, version and bounds checks, and a decode failure there
+// simply falls back to a rebuild.
+func (s *DiskStore) GetBlob(key string) ([]byte, bool) { return s.GetRaw(Blobs, key, nil) }
 
 // PutBlob durably stores an opaque binary artifact under key, sharing the
 // result store's recency order and byte bound but not its key namespace.
-func (s *DiskStore) PutBlob(key string, data []byte) error {
-	if !validKey(key) {
-		return fmt.Errorf("service: store put: invalid key %q", key)
-	}
-	return s.putFile(key+blobExt, data)
-}
+func (s *DiskStore) PutBlob(key string, data []byte) error { return s.PutRaw(Blobs, key, data) }
 
 // drop forgets and deletes one entry (unreadable or corrupt file).
 func (s *DiskStore) drop(name string) {

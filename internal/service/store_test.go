@@ -99,7 +99,7 @@ func TestDiskStoreCrashArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptKey := hexKey(4)
-	if err := os.WriteFile(filepath.Join(dir, corruptKey+resultExt), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, corruptKey+string(Results)), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -116,7 +116,7 @@ func TestDiskStoreCrashArtifacts(t *testing.T) {
 	if _, ok := s.Get(corruptKey); ok {
 		t.Fatal("corrupt entry served as a result")
 	}
-	if _, err := os.Stat(filepath.Join(dir, corruptKey+resultExt)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, corruptKey+string(Results))); !os.IsNotExist(err) {
 		t.Error("corrupt file not removed after failed read")
 	}
 	// The slot is reusable.
@@ -138,7 +138,7 @@ func TestDiskStoreLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	entrySize := probe.Bytes()
-	os.Remove(probe.path(hexKey(0) + resultExt))
+	os.Remove(probe.path(hexKey(0) + string(Results)))
 
 	// Room for two entries, not three.
 	s, err := OpenDiskStore(t.TempDir(), 2*entrySize+entrySize/2)

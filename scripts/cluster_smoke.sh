@@ -8,12 +8,15 @@
 #
 #   1. a 24-point, 2-workload sweep streams 24 rows with no errors and the
 #      fleet runs exactly one functional emulation per workload;
-#   2. the rows are byte-identical to a single-process server's sweep;
-#   3. SIGTERM drains every replica cleanly (exit 0, "drained cleanly");
-#   4. restarted on the same shards, a repeat sweep is served entirely from
+#   2. a sampled 2-point sweep builds exactly one sampling plan fleet-wide;
+#   3. both sweeps' rows are byte-identical to a single-process server's;
+#   4. SIGTERM drains every replica cleanly (exit 0, "drained cleanly");
+#   5. restarted on the same shards, a repeat sweep is served entirely from
 #      the sharded store — zero emulations, shard hit-ratio > 0 — and is
-#      byte-identical to the cold run;
-#   5. with one replica killed mid-sweep, the sweep still settles all rows
+#      byte-identical to the cold run, and the sampled grid on another core
+#      (results not stored yet) reuses the stored plan instead of building
+#      one;
+#   6. with one replica killed mid-sweep, the sweep still settles all rows
 #      (degraded local execution).
 set -eu
 
@@ -68,13 +71,18 @@ wait_healthy() {
 }
 
 GRID='{"workloads":["mcf","sha"],"cores":["skl","hsw"],"policies":["inorder","nonspec","noreba"],"windows":[128,224],"timeoutSec":300}'
+# sgrid <core>: a sampled 2-point grid; one sampling plan serves both points
+# on every core.
+sgrid() {
+	echo '{"workloads":["mcf"],"cores":["'"$1"'"],"policies":["inorder","noreba"],"sample":true,"timeoutSec":300}'
+}
 
-# sweep <base-url> <out-file>
+# sweep <base-url> <out-file> [<grid> <points>] (default: $GRID, 24 points)
 sweep() {
 	curl -fsSN -X POST "$1/sweep" -H 'Content-Type: application/json' \
-		-d "$GRID" >"$2" || fail "sweep against $1 failed"
+		-d "${3:-$GRID}" >"$2" || fail "sweep against $1 failed"
 	rows=$(grep -c '"type":"row"' "$2") || true
-	[ "$rows" = 24 ] || fail "sweep at $1 settled $rows rows, want 24"
+	[ "$rows" = "${4:-24}" ] || fail "sweep at $1 settled $rows rows, want ${4:-24}"
 	grep -q '"type":"done"' "$2" || fail "sweep at $1 ended without done line"
 	grep '"type":"done"' "$2" | grep -q '"errors":0' || fail "sweep at $1 reported row errors"
 }
@@ -90,6 +98,25 @@ metric() {
 	curl -fsS "$1/metrics" | grep -o "\"$2\": *[0-9]*" | head -1 | grep -o '[0-9]*$'
 }
 
+# fleet_metric <name>: the counter summed over replicas 1-3.
+fleet_metric() {
+	sum=0
+	for u in "$U1" "$U2" "$U3"; do
+		sum=$((sum + $(metric "$u" "$1")))
+	done
+	echo "$sum"
+}
+
+# same_rows <a> <b> <what>: fail unless two streams' rows are byte-identical.
+same_rows() {
+	rows "$1" >"$1.rows"
+	rows "$2" >"$2.rows"
+	cmp -s "$1.rows" "$2.rows" || {
+		diff "$1.rows" "$2.rows" | head -5 >&2
+		fail "$3"
+	}
+}
+
 echo "cluster-smoke: starting 3-replica cluster on ports $P1 $P2 $P3"
 start_replica 1 "$P1" "$U2,$U3"
 start_replica 2 "$P2" "$U1,$U3"
@@ -99,24 +126,24 @@ wait_healthy "$U1"; wait_healthy "$U2"; wait_healthy "$U3"
 echo "cluster-smoke: cold 24-point sweep through replica 1"
 sweep "$U1" "$WORK/cold.jsonl"
 
-emus=0
-for u in "$U1" "$U2" "$U3"; do
-	emus=$((emus + $(metric "$u" emulationsRun)))
-done
+emus=$(fleet_metric emulationsRun)
 [ "$emus" = 2 ] || fail "fleet ran $emus emulations for 2 workloads, want 2"
 echo "cluster-smoke: fleet emulations = 2 (one per workload)"
 
-echo "cluster-smoke: single-process sweep for byte comparison"
+echo "cluster-smoke: cold sampled sweep through replica 1"
+sweep "$U1" "$WORK/scold.jsonl" "$(sgrid skl)" 2
+plans=$(fleet_metric plansBuilt)
+[ "$plans" = 1 ] || fail "fleet built $plans sampling plans for 1 workload, want 1"
+echo "cluster-smoke: fleet plans built = 1"
+
+echo "cluster-smoke: single-process sweeps for byte comparison"
 start_replica 4 "$P4" ""
 wait_healthy "http://127.0.0.1:$P4"
 sweep "http://127.0.0.1:$P4" "$WORK/solo.jsonl"
-rows "$WORK/cold.jsonl" >"$WORK/cold.rows"
-rows "$WORK/solo.jsonl" >"$WORK/solo.rows"
-cmp -s "$WORK/cold.rows" "$WORK/solo.rows" || {
-	diff "$WORK/cold.rows" "$WORK/solo.rows" | head -5 >&2
-	fail "cluster rows differ from single-process rows"
-}
-echo "cluster-smoke: cluster sweep is byte-identical to single-process"
+sweep "http://127.0.0.1:$P4" "$WORK/ssolo.jsonl" "$(sgrid skl)" 2
+same_rows "$WORK/cold.jsonl" "$WORK/solo.jsonl" "cluster rows differ from single-process rows"
+same_rows "$WORK/scold.jsonl" "$WORK/ssolo.jsonl" "cluster sampled rows differ from single-process rows"
+echo "cluster-smoke: cluster sweeps are byte-identical to single-process"
 
 echo "cluster-smoke: SIGTERM drain of all replicas"
 for i in 1 2 3 4; do
@@ -138,17 +165,21 @@ wait_healthy "$U1"; wait_healthy "$U2"; wait_healthy "$U3"
 
 echo "cluster-smoke: warm sweep through replica 2"
 sweep "$U2" "$WORK/warm.jsonl"
-rows "$WORK/warm.jsonl" >"$WORK/warm.rows"
-cmp -s "$WORK/warm.rows" "$WORK/cold.rows" || fail "warm rows differ from cold rows"
+same_rows "$WORK/warm.jsonl" "$WORK/cold.jsonl" "warm rows differ from cold rows"
 
-emus=0; hits=0
-for u in "$U1" "$U2" "$U3"; do
-	emus=$((emus + $(metric "$u" emulationsRun)))
-	hits=$((hits + $(metric "$u" shardHits) + $(metric "$u" peerHits)))
-done
+emus=$(fleet_metric emulationsRun)
+hits=$(($(fleet_metric shardHits) + $(fleet_metric peerHits)))
 [ "$emus" = 0 ] || fail "warm sweep ran $emus emulations, want 0"
 [ "$hits" -gt 0 ] || fail "warm sweep hit no shard (shardHits+peerHits = 0)"
 echo "cluster-smoke: warm sweep served from shards (hits=$hits, emulations=0)"
+
+echo "cluster-smoke: warm sampled sweep on hsw through replica 2"
+sweep "$U2" "$WORK/swarm.jsonl" "$(sgrid hsw)" 2
+plans=$(fleet_metric plansBuilt)
+planhits=$(fleet_metric planStoreHits)
+[ "$plans" = 0 ] || fail "warm sampled sweep built $plans plans, want 0"
+[ "$planhits" -gt 0 ] || fail "warm sampled sweep loaded no stored plan (planStoreHits = 0)"
+echo "cluster-smoke: warm sampled sweep reused the stored plan (planStoreHits=$planhits, plansBuilt=0)"
 
 echo "cluster-smoke: killing replica 3 mid-sweep"
 rm -rf "$WORK/shard-1" "$WORK/shard-2"  # force real re-simulation on survivors
@@ -168,8 +199,7 @@ wait "$CURL" || fail "degraded sweep connection failed"
 rows_degraded=$(grep -c '"type":"row"' "$WORK/degraded.jsonl") || true
 [ "$rows_degraded" = 24 ] || fail "degraded sweep settled $rows_degraded rows, want 24"
 grep '"type":"done"' "$WORK/degraded.jsonl" | grep -q '"errors":0' || fail "degraded sweep reported row errors"
-rows "$WORK/degraded.jsonl" >"$WORK/degraded.rows"
-cmp -s "$WORK/degraded.rows" "$WORK/cold.rows" || fail "degraded rows differ from cold rows"
+same_rows "$WORK/degraded.jsonl" "$WORK/cold.jsonl" "degraded rows differ from cold rows"
 echo "cluster-smoke: sweep survived a killed replica with identical rows"
 
 echo "cluster-smoke: OK"
