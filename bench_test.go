@@ -94,6 +94,28 @@ func BenchmarkFigure16(b *testing.B) {
 	benchFigure(b, func(r *experiments.Runner) error { _, _, err := r.Figure16(); return err })
 }
 
+// engineSuite is the figure set BenchmarkEngineSuite times and
+// TestEngineSuiteWorkCounts pins.
+var engineSuite = []string{"figure1", "figure6", "figure8", "figure11", "figure13", "figure14", "figure15"}
+
+// runEngineSuite warms the union of engineSuite's requests through one
+// RunRequests pass, then assembles every figure from the warmed cache.
+func runEngineSuite(r *experiments.Runner) error {
+	reqs, err := r.FigureRequests(engineSuite...)
+	if err != nil {
+		return err
+	}
+	if err := r.RunRequests(context.Background(), reqs); err != nil {
+		return err
+	}
+	for _, name := range engineSuite {
+		if _, err := r.RunExperiment(name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // BenchmarkEngineSuite runs the whole reduced-scale figure suite on one
 // shared Runner — the realistic engine workload, where the scheduler's
 // cross-figure batching and broadcast trace bus pay off: the union of every
@@ -110,23 +132,13 @@ func BenchmarkEngineSuite(b *testing.B) {
 	// shapes, and the recorded gomaxprocs states what the numbers mean.
 	// (BenchmarkSampledSuite pins 2 — its concurrency is the thing measured.)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	suite := []string{"figure1", "figure6", "figure8", "figure11", "figure13", "figure14", "figure15"}
 	var last *experiments.Runner
 	var elapsed time.Duration
 	for i := 0; i < b.N; i++ {
 		r := QuickRunner()
 		start := time.Now()
-		reqs, err := r.FigureRequests(suite...)
-		if err != nil {
+		if err := runEngineSuite(r); err != nil {
 			b.Fatal(err)
-		}
-		if err := r.RunRequests(context.Background(), reqs); err != nil {
-			b.Fatal(err)
-		}
-		for _, name := range suite {
-			if _, err := r.RunExperiment(name); err != nil {
-				b.Fatal(err)
-			}
 		}
 		if d := time.Since(start); elapsed == 0 || d < elapsed {
 			elapsed = d

@@ -78,6 +78,36 @@ func NewBroadcast(src TraceSource, maxSkew int) *Broadcast {
 	return b
 }
 
+// Fanout runs each consumer on its own view of one bus over src (skew bound
+// DefaultBusSkew), the last on the calling goroutine and the others on
+// goroutines of their own, and returns the bus's PeakRecords once all have
+// returned. Each view is closed when its consumer returns (or earlier, by
+// the consumer), so one that stops early never wedges its siblings.
+func Fanout(src TraceSource, consumers ...func(*BusView)) int {
+	bus := NewBroadcast(src, 0)
+	views := make([]*BusView, len(consumers))
+	for i := range views {
+		views[i] = bus.View()
+	}
+	run := func(i int) {
+		defer views[i].Close()
+		consumers[i](views[i])
+	}
+	var wg sync.WaitGroup
+	for i := range len(consumers) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(i)
+		}()
+	}
+	if len(consumers) > 0 {
+		run(len(consumers) - 1)
+	}
+	wg.Wait()
+	return bus.PeakRecords()
+}
+
 // View hands out one consumer's TraceSource over the shared stream. All
 // views must be created before any of them pulls — a late joiner would
 // have already missed released records — so View panics once consumption

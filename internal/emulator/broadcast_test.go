@@ -212,3 +212,33 @@ func (s *faultingSource) NextInto(d *DynInst) bool {
 }
 func (s *faultingSource) Err() error     { return &MemError{Addr: 4, PC: 2} }
 func (s *faultingSource) Counts() Counts { return Counts{} }
+
+// TestFanoutClosesViews: a consumer that abandons its view without closing
+// it cannot wedge its siblings — Fanout closes every view when its consumer
+// returns — and the full-stream consumers each see the solo stream. The stream is longer than the skew
+// bound, so a view left open would block the others forever.
+func TestFanoutClosesViews(t *testing.T) {
+	tr := synthTrace(3 * DefaultBusSkew)
+	want := drain(tr.Source())
+	got := make([][]DynInst, 3)
+	peak := Fanout(tr.Source(),
+		func(v *BusView) {
+			var d DynInst
+			for i := 0; i < 10 && v.NextInto(&d); i++ {
+			}
+		},
+		func(v *BusView) { got[1] = drain(v) },
+		func(v *BusView) { got[2] = drain(v) },
+	)
+	for i := 1; i < 3; i++ {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("consumer %d saw %d records, want the %d-record solo stream", i, len(got[i]), len(want))
+		}
+	}
+	if peak <= 0 || peak > DefaultBusSkew {
+		t.Errorf("PeakRecords %d outside (0, %d]", peak, DefaultBusSkew)
+	}
+	if Fanout(tr.Source()) != 0 {
+		t.Error("Fanout with no consumers buffered records")
+	}
+}

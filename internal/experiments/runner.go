@@ -690,8 +690,8 @@ func (r *Runner) execOne(ctx context.Context, workload string, c claimed, res *c
 }
 
 // execFanout runs N claimed same-workload jobs off one functional emulation:
-// a broadcast bus wraps a single live emulator source and each core consumes
-// its own lockstep view on its own goroutine. The batch holds one worker-pool
+// emulator.Fanout wraps a single live emulator source in a broadcast bus and
+// each core consumes its own lockstep view. The batch holds one worker-pool
 // slot — its goroutines block on each other through the bus skew bound, so
 // giving each a slot could deadlock the pool — and every job is finished
 // individually with the usual store/cache semantics.
@@ -706,16 +706,13 @@ func (r *Runner) execFanout(ctx context.Context, workload string, batch []claime
 	defer r.release()
 	r.emulationsRun.Add(1)
 
-	bus := emulator.NewBroadcast(emulator.NewSource(emulator.New(res.Image), r.MaxInsts), 0)
-	tasks := make([]func(), len(batch))
+	cores := make([]func(*emulator.BusView), len(batch))
 	for i, c := range batch {
-		view := bus.View()
-		tasks[i] = func() {
+		cores[i] = func(view *emulator.BusView) {
 			r.simsRun.Add(1)
 			st, err := pipeline.NewCoreFromSource(c.cfg, view, res.Meta).RunContext(ctx)
-			// An early exit (error, cancellation) must detach the view or its
-			// stalled cursor wedges every sibling on the bus; closing before
-			// finishing also keeps a slow notify off the siblings' path.
+			// Fanout closes the view when this returns; closing it before
+			// finishing keeps a slow notify off the siblings' path.
 			view.Close()
 			if err != nil {
 				r.finish(c, nil, fmt.Errorf("%s under %v: %w", workload, c.cfg.Policy, err), settle)
@@ -725,8 +722,8 @@ func (r *Runner) execFanout(ctx context.Context, workload string, batch []claime
 			r.finish(c, st, nil, settle)
 		}
 	}
-	parallel(tasks)
-	casMax(&r.peakBusRecords, int64(bus.PeakRecords()))
+	peak := emulator.Fanout(emulator.NewSource(emulator.New(res.Image), r.MaxInsts), cores...)
+	casMax(&r.peakBusRecords, int64(peak))
 }
 
 // parallel runs every task concurrently and returns once all have finished.

@@ -14,9 +14,10 @@
 package multicore
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
-	"github.com/noreba-sim/noreba/internal/cache"
 	"github.com/noreba-sim/noreba/internal/compiler"
 	"github.com/noreba-sim/noreba/internal/emulator"
 	"github.com/noreba-sim/noreba/internal/pipeline"
@@ -50,7 +51,6 @@ type Config struct {
 
 // System is a set of cores stepping in lockstep.
 type System struct {
-	cfg   Config
 	cores []*pipeline.Core
 	// arrived[i] is the number of barriers core i has reached (its fence
 	// was commit-ready except for the gate).
@@ -59,7 +59,6 @@ type System struct {
 	// between the fastest and slowest core — the barrier-tightness witness
 	// used by tests.
 	maxSkew int64
-	cycles  int64
 }
 
 // New builds a system of len(inputs) cores.
@@ -67,41 +66,35 @@ func New(cfg Config, inputs []CoreInput) (*System, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("multicore: no cores")
 	}
-	srcs := make([]emulator.TraceSource, len(inputs))
-	for i, in := range inputs {
-		srcs[i] = in.Source
-	}
+	inputs = slices.Clone(inputs)
 	if cfg.Barriers {
 		// Validating barrier counts requires seeing each whole stream up
 		// front, so barrier mode materializes the inputs and replays them;
 		// unsynchronised systems keep streaming.
 		fences := -1
-		for i, src := range srcs {
-			tr, err := emulator.Materialize(src)
+		for i := range inputs {
+			tr, err := emulator.Materialize(inputs[i].Source)
 			if err != nil {
 				return nil, fmt.Errorf("multicore: core %d stream: %w", i, err)
 			}
-			n := countFences(tr)
+			n := 0
+			for j := range tr.Insts {
+				if tr.Insts[j].Inst.Op.IsFence() {
+					n++
+				}
+			}
 			if fences == -1 {
 				fences = n
 			} else if n != fences {
 				return nil, fmt.Errorf("multicore: core %d has %d fences, core 0 has %d — barrier counts must match", i, n, fences)
 			}
-			srcs[i] = tr.Source()
+			inputs[i].Source = tr.Source()
 		}
 	}
 
-	s := &System{cfg: cfg, arrived: make([]int64, len(inputs))}
-
-	// Shared last-level cache: one L3 object referenced by every core's
-	// hierarchy. Single-threaded lockstep stepping keeps this safe.
-	var sharedL3 *cache.Cache
-	if cfg.ShareLLC {
-		sharedL3 = cache.New("L3", cfg.Core.L3Size, 16, cfg.Core.L3Lat)
-	}
-
+	s := &System{arrived: make([]int64, len(inputs))}
 	for i, in := range inputs {
-		src := srcs[i]
+		src := in.Source
 		if off := cfg.AddressSpaceStride * int64(i); off != 0 {
 			src = &offsetSource{src: src, delta: off}
 		}
@@ -110,27 +103,10 @@ func New(cfg Config, inputs []CoreInput) (*System, error) {
 			id := i
 			coreCfg.FenceGate = func(n int64) bool { return s.barrierGate(id, n) }
 		}
-		core := pipeline.NewCoreFromSource(coreCfg, src, in.Meta)
-		if cfg.ShareLLC {
-			d := &cache.Hierarchy{
-				Levels: []*cache.Cache{
-					cache.New("L1d", coreCfg.L1DSize, coreCfg.CacheWays, coreCfg.L1Lat),
-					cache.New("L2", coreCfg.L2Size, coreCfg.CacheWays, coreCfg.L2Lat),
-					sharedL3,
-				},
-				MemLat: coreCfg.MemLat,
-			}
-			ic := &cache.Hierarchy{
-				Levels: []*cache.Cache{
-					cache.New("L1i", coreCfg.L1ISize, coreCfg.CacheWays, coreCfg.L1Lat),
-					cache.New("L2i", coreCfg.L2Size, coreCfg.CacheWays, coreCfg.L2Lat),
-					sharedL3,
-				},
-				MemLat: coreCfg.MemLat,
-			}
-			core.UseMemory(d, ic)
-		}
-		s.cores = append(s.cores, core)
+		s.cores = append(s.cores, pipeline.NewCoreFromSource(coreCfg, src, in.Meta))
+	}
+	if cfg.ShareLLC {
+		pipeline.ShareLLC(s.cores)
 	}
 	return s, nil
 }
@@ -157,16 +133,6 @@ func (s *offsetSource) NextInto(d *emulator.DynInst) bool {
 func (s *offsetSource) Err() error              { return s.src.Err() }
 func (s *offsetSource) Counts() emulator.Counts { return s.src.Counts() }
 
-func countFences(tr *emulator.Trace) int {
-	n := 0
-	for i := range tr.Insts {
-		if tr.Insts[i].Inst.Op.IsFence() {
-			n++
-		}
-	}
-	return n
-}
-
 // barrierGate implements arrive/release barrier timing: calling the gate
 // marks the core as having reached barrier n; the fence retires once every
 // core has reached it.
@@ -189,40 +155,17 @@ func (s *System) barrierGate(core int, n int64) bool {
 	return min >= n+1
 }
 
-// maxSystemCycles bounds lockstep runs against barrier deadlock bugs.
-const maxSystemCycles = int64(1) << 30
+// Run is RunContext with a background context.
+func (s *System) Run() ([]*pipeline.Stats, error) { return s.RunContext(context.Background()) }
 
-// Run steps every core in lockstep until all traces have fully committed,
-// then returns per-core statistics.
-func (s *System) Run() ([]*pipeline.Stats, error) {
-	for {
-		done := true
-		for i, c := range s.cores {
-			if !c.Done() {
-				c.Step()
-				done = false
-			}
-			if err := c.SanityErr(); err != nil {
-				return nil, fmt.Errorf("multicore: core %d: %w", i, err)
-			}
-		}
-		if done {
-			break
-		}
-		s.cycles++
-		if s.cycles > maxSystemCycles {
-			return nil, fmt.Errorf("multicore: exceeded %d cycles (barrier deadlock?)", maxSystemCycles)
-		}
-	}
-	out := make([]*pipeline.Stats, len(s.cores))
-	for i, c := range s.cores {
-		out[i] = c.Finalize()
-	}
-	return out, nil
+// RunContext steps every core in lockstep (pipeline.RunLockstep) until all
+// streams have fully committed, then returns per-core statistics. A
+// cancelled or timed-out run, a failed trace source, a sanitizer violation
+// or a livelock returns an error wrapping the cause, alongside the partial
+// statistics.
+func (s *System) RunContext(ctx context.Context) ([]*pipeline.Stats, error) {
+	return pipeline.RunLockstep(ctx, s.cores)
 }
-
-// Cycles returns the system's lockstep cycle count after Run.
-func (s *System) Cycles() int64 { return s.cycles }
 
 // MaxBarrierSkew returns the largest observed difference in barrier
 // progress between cores (0 or 1 for a correct barrier: no core may be a

@@ -1,7 +1,11 @@
 package multicore
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
+	"time"
 
 	"github.com/noreba-sim/noreba/internal/compiler"
 	"github.com/noreba-sim/noreba/internal/emulator"
@@ -168,24 +172,93 @@ func TestUnsyncedFencesRunFree(t *testing.T) {
 }
 
 func TestSingleCoreMatchesPipelineRun(t *testing.T) {
-	// A one-core system must agree with Core.Run exactly.
-	in, _ := inputFor(t, "dijkstra", 20)
-	sys, err := New(Config{Core: coreCfg(pipeline.Noreba)}, []CoreInput{in})
-	if err != nil {
-		t.Fatal(err)
+	// A one-core system must agree with Core.Run exactly, per-branch stall
+	// records included. With Barriers on, the lone core's gate is always
+	// open and its idle fast-forward is off, and the result must not move.
+	for _, tc := range []struct {
+		name     string
+		barriers bool
+		input    func() CoreInput
+	}{
+		{"dijkstra", false, func() CoreInput { in, _ := inputFor(t, "dijkstra", 20); return in }},
+		{"barriers", true, func() CoreInput { return barrierProgram(t, "phases", 12, 20) }},
+	} {
+		sys, err := New(Config{Core: coreCfg(pipeline.Noreba), Barriers: tc.barriers}, []CoreInput{tc.input()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sysStats, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := tc.input()
+		direct, err := pipeline.NewCoreFromSource(coreCfg(pipeline.Noreba), in.Source, in.Meta).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(direct.BranchStalls) == 0 {
+			t.Fatalf("%s: no branch stalls recorded; the comparison would not cover them", tc.name)
+		}
+		if !reflect.DeepEqual(sysStats[0], direct) {
+			t.Errorf("%s: system run differs from Core.Run:\nsystem %+v\ndirect %+v", tc.name, *sysStats[0], *direct)
+		}
 	}
-	sysStats, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	in2, tr2 := inputFor(t, "dijkstra", 20)
-	direct, err := pipeline.NewCore(coreCfg(pipeline.Noreba), tr2, in2.Meta).Run()
+// failingSource delivers the first n records of its source, then ends on err.
+type failingSource struct {
+	emulator.TraceSource
+	n   int
+	err error
+}
+
+func (f *failingSource) NextInto(d *emulator.DynInst) bool {
+	if f.n == 0 {
+		return false
+	}
+	f.n--
+	return f.TraceSource.NextInto(d)
+}
+
+func (f *failingSource) Err() error {
+	if f.n == 0 {
+		return f.err
+	}
+	return f.TraceSource.Err()
+}
+
+func TestRunReportsSourceError(t *testing.T) {
+	// Core 1's stream fails after 1000 instructions: the system still runs
+	// both cores to completion, and Run returns the source's error rather
+	// than truncated statistics under a nil error.
+	errBroken := errors.New("stream broken")
+	in0, _ := inputFor(t, "dijkstra", 20)
+	in1, _ := inputFor(t, "dijkstra", 20)
+	in1.Source = &failingSource{TraceSource: in1.Source, n: 1000, err: errBroken}
+	sys, err := New(Config{Core: coreCfg(pipeline.Noreba), ShareLLC: true}, []CoreInput{in0, in1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sysStats[0].Cycles != direct.Cycles {
-		t.Errorf("system run %d cycles, direct run %d", sysStats[0].Cycles, direct.Cycles)
+	stats, err := sys.Run()
+	if !errors.Is(err, errBroken) {
+		t.Fatalf("Run error = %v, want one wrapping %v", err, errBroken)
+	}
+	if got := stats[1].TraceInsts; got != 1000 {
+		t.Errorf("core 1 pulled %d instructions, want 1000", got)
+	}
+}
+
+func TestRunContextDeadline(t *testing.T) {
+	in0, _ := inputFor(t, "mcf", 20)
+	in1, _ := inputFor(t, "omnetpp", 20)
+	sys, err := New(Config{Core: coreCfg(pipeline.Noreba)}, []CoreInput{in0, in1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := sys.RunContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunContext error = %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -60,8 +60,8 @@ func TestArenaRecordImmutability(t *testing.T) {
 	for _, pk := range allPolicies {
 		src := newShadowSource(tr.Source())
 		c := NewCoreFromSource(testConfig(pk), src, meta)
-		for steps := 1; !c.Done() && steps <= 20000; steps++ {
-			c.Step()
+		for steps := 1; !c.done() && steps <= 20000; steps++ {
+			c.step()
 			if steps%64 == 0 {
 				sweepArena(t, c, src.shadow, pk.String())
 			}
@@ -89,8 +89,8 @@ func TestBusSharedRecordAliasing(t *testing.T) {
 			defer wg.Done()
 			src := srcs[i]
 			c := NewCoreFromSource(testConfig(pk), src, meta)
-			for steps := 1; !c.Done() && steps <= 8000; steps++ {
-				c.Step()
+			for steps := 1; !c.done() && steps <= 8000; steps++ {
+				c.step()
 				if steps%64 == 0 {
 					sweepArena(t, c, src.shadow, pk.String())
 				}

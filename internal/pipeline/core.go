@@ -33,7 +33,7 @@ import (
 // oldest instruction that still pins each policy's commit boundary, the
 // window's commit and memory frontiers moved only when the record at one
 // commits or records load behind it, and a cycle-indexed completion wheel.
-// A cycle in which nothing can happen is fast-forwarded (see Step).
+// A cycle in which nothing can happen is fast-forwarded (see step).
 // The ready and candidate sets are ordered by dispatchOrder — the order
 // the old code scanned the ROB slice in — so cycle-level behaviour is
 // bit-identical; every ordered set is an O(1) ring with a membership
@@ -52,7 +52,7 @@ type Core struct {
 	icache *cache.Hierarchy
 	dcpt   *prefetch.DCPT
 	// ownsMem reports that dcache and icache are private to this core (not
-	// shared through UseMemory), so Reset may rebuild them in place.
+	// shared through ShareLLC), so Reset may rebuild them in place.
 	ownsMem bool
 
 	cycle int64
@@ -145,7 +145,7 @@ type Core struct {
 	san     *sanitizer
 	sanErr  *sanity.Error
 
-	// Idle-cycle fast-forward (see Step). activity counts the events that
+	// Idle-cycle fast-forward (see step). activity counts the events that
 	// can change what a later cycle does: commits, live completions,
 	// issues, dispatches, fetched records, fetch bubbles, icache accesses
 	// and Selective ROB steers. idleSteps counts the consecutive full steps
@@ -200,7 +200,7 @@ const (
 // a modelling bug and are reported as an error.
 const maxCycles = int64(1) << 33
 
-// cancelCheckCycles is how often RunUntil polls its context: a
+// cancelCheckCycles is how often runLockstep polls its context: a
 // non-blocking channel read every 4096 simulated cycles, cheap enough to be
 // invisible in profiles while bounding cancellation latency to well under a
 // millisecond of wall clock.
@@ -239,7 +239,7 @@ func NewCoreFromSource(cfg Config, src emulator.TraceSource, meta *compiler.Meta
 func (c *Core) Reset(cfg Config, src emulator.TraceSource, meta *compiler.Meta, ws *WarmState) {
 	dcache, icache := c.dcache, c.icache
 	if !c.ownsMem {
-		dcache, icache = nil, nil // shared via UseMemory: never write into it
+		dcache, icache = nil, nil // shared via ShareLLC: never write into it
 	}
 	pred, ras, dcpt := c.pred, c.ras, c.dcpt
 	c.resetShell(cfg, src, meta)
@@ -350,20 +350,23 @@ func NewCore(cfg Config, tr *emulator.Trace, meta *compiler.Meta) *Core {
 	return NewCoreFromSource(cfg, tr.Source(), meta)
 }
 
-// UseMemory replaces the core's private cache hierarchies. The multicore
-// system uses this to share a last-level cache between cores; it must be
-// called before the first Step.
-func (c *Core) UseMemory(dcache, icache *cache.Hierarchy) {
-	c.dcache, c.icache, c.ownsMem = dcache, icache, false
-	c.skipIdle = false
+// ShareLLC points the L3 of every core's data and instruction hierarchies at
+// one cache, core 0's data-side L3, before the cores' first step. Other
+// cores' accesses change it, so the cores stop fast-forwarding idle cycles,
+// and Reset never writes into their hierarchies.
+func ShareLLC(cores []*Core) {
+	llc := cores[0].dcache.Levels[2]
+	for _, c := range cores {
+		c.dcache.Levels[2], c.icache.Levels[2] = llc, llc
+		c.ownsMem, c.skipIdle = false, false
+	}
 }
 
-// Done reports whether every stream instruction has committed: the commit
+// done reports whether every stream instruction has committed: the commit
 // frontier has passed the end of the stream.
-func (c *Core) Done() bool { return !c.win.ensure(c.win.frontier) }
+func (c *Core) done() bool { return !c.win.ensure(c.win.frontier) }
 
-// Step advances the core by one cycle. The multicore system interleaves
-// Step calls across cores; single-core callers use Run.
+// step advances the core by one cycle; runLockstep is its one caller.
 //
 // A cycle in which nothing happens is not simulated stage by stage. Once two
 // consecutive steps have changed nothing (activity did not move), the next
@@ -375,7 +378,7 @@ func (c *Core) Done() bool { return !c.win.ensure(c.win.frontier) }
 // the second idle step exactly. Those steps only advance the clock, and
 // flushIdle adds the second step's counter deltas for all of them at once;
 // the event's own cycle runs in full.
-func (c *Core) Step() {
+func (c *Core) step() {
 	if c.cycle < c.idleUntil {
 		c.cycle++
 		return
@@ -506,16 +509,6 @@ func (k *idleCounters) minus(before *idleCounters) idleCounters {
 	return d
 }
 
-// SanityErr returns the first invariant violation the sanitizer detected, or
-// nil. Callers stepping the core manually (the multicore system) poll it;
-// Run surfaces it as the returned error.
-func (c *Core) SanityErr() error {
-	if c.sanErr == nil {
-		return nil
-	}
-	return c.sanErr
-}
-
 // fail records the first sanitizer violation; later ones are dropped so the
 // diagnostic always names the root cause, not a cascade.
 func (c *Core) fail(err *sanity.Error) {
@@ -532,8 +525,8 @@ func (c *Core) emit(kind trace.Kind, e *Entry) {
 	})
 }
 
-// Finalize snapshots end-of-run statistics; Run calls it automatically.
-func (c *Core) Finalize() *Stats {
+// finalize snapshots end-of-run statistics.
+func (c *Core) finalize() *Stats {
 	c.flushIdle()
 	c.stats.Cycles = c.cycle
 	c.stats.L1DAccesses = c.dcache.Levels[0].Accesses
@@ -553,10 +546,10 @@ func (c *Core) Finalize() *Stats {
 // with the cache counters refreshed. The reference-typed BranchStalls map
 // is cleared in the copy: callers taking mid-run snapshots (the sampler's
 // measurement windows) difference counters, and sharing a live map across
-// snapshots would alias mutable state. Finalize recomputes every derived field, so snapshotting mid-run
-// does not disturb a later full finalization.
+// snapshots would alias mutable state. finalize recomputes every derived
+// field, so snapshotting mid-run does not disturb a later full finalization.
 func (c *Core) StatsSnapshot() Stats {
-	st := *c.Finalize()
+	st := *c.finalize()
 	st.BranchStalls = nil
 	return st
 }
@@ -582,57 +575,94 @@ func (c *Core) Run() (*Stats, error) { return c.RunContext(context.Background())
 // an error wrapping the context's cause (so errors.Is(err,
 // context.Canceled/DeadlineExceeded) holds).
 func (c *Core) RunContext(ctx context.Context) (*Stats, error) {
-	err := c.RunUntil(ctx, math.MaxInt64)
-	st := c.Finalize()
-	if err != nil {
-		return st, err
-	}
-	if err := c.win.srcErr(); err != nil {
-		return st, fmt.Errorf("pipeline: trace source: %w", err)
-	}
-	return st, nil
+	return c.finish(c.RunUntil(ctx, math.MaxInt64))
 }
 
 // RunUntil steps the core until at least commits instructions have
 // committed (CommittedCount) or every stream instruction has; a target
 // already reached takes no step. Callers measuring a run in segments (the
 // sampler's pilot and its measurement windows) call it once per segment
-// boundary. Every cancelCheckCycles cycles the core polls ctx and, when it
-// has been cancelled or its deadline has passed, stops with an error
-// wrapping the context's cause. The deadline is compared against the wall
-// clock directly rather than waiting for the context's timer to fire: on a
-// loaded box the runtime can deliver a timer tens of milliseconds late, long
-// enough for a short run to finish and report success past its deadline. A
-// background context adds no per-cycle work beyond one nil check. A
-// sanitizer violation or a livelocked run (more than maxCycles cycles) stops
-// it with a *sanity.Error.
+// boundary. It is runLockstep over the one core.
 func (c *Core) RunUntil(ctx context.Context, commits int64) error {
-	done := ctx.Done()
-	deadline, hasDeadline := ctx.Deadline()
-	for c.stats.Committed < commits && !c.Done() {
-		if done != nil && c.cycle%cancelCheckCycles == 0 {
-			select {
-			case <-done:
-				return fmt.Errorf("pipeline: run cancelled at cycle %d: %w",
-					c.cycle, context.Cause(ctx))
-			default:
-			}
-			if hasDeadline && !time.Now().Before(deadline) {
-				return fmt.Errorf("pipeline: run cancelled at cycle %d: %w",
-					c.cycle, context.DeadlineExceeded)
-			}
-		}
-		if c.cycle > maxCycles {
-			return sanity.Errorf("core/livelock", c.cycle,
-				"exceeded %d cycles at frontier %d with %d instructions pulled (policy %s)",
-				maxCycles, c.win.frontier, c.win.counts().Insts, c.cfg.Policy)
-		}
-		c.Step()
-		if c.sanErr != nil {
-			return c.sanErr
+	_, err := runLockstep(ctx, []*Core{c}, commits)
+	return err
+}
+
+// RunLockstep is the N-core form of RunContext: cores sharing state
+// (ShareLLC, a Config.FenceGate) run in lockstep until each has committed
+// its whole stream, then each finishes as RunContext does. The statistics
+// come back aligned with cores, partial after an error; the first error
+// stops every core and names its core.
+func RunLockstep(ctx context.Context, cores []*Core) ([]*Stats, error) {
+	i, err := runLockstep(ctx, cores, math.MaxInt64)
+	if err != nil {
+		err = fmt.Errorf("pipeline: core %d: %w", i, err)
+	}
+	stats := make([]*Stats, len(cores))
+	for i, c := range cores {
+		var cerr error
+		if stats[i], cerr = c.finish(err); err == nil && cerr != nil {
+			err = fmt.Errorf("pipeline: core %d: %w", i, cerr)
 		}
 	}
-	return nil
+	return stats, err
+}
+
+// runLockstep is the one run loop. Each round steps, in slice order, every
+// core that has committed fewer than commits instructions and not yet its
+// whole stream by one cycle; the first error returns with its core's index.
+// Every cancelCheckCycles cycles it polls ctx and stops with an error
+// wrapping the context's cause once it is cancelled or its deadline has
+// passed, read from the wall clock: on a loaded box the runtime can fire the
+// context's timer tens of milliseconds late, long enough for a short run to
+// report success past its deadline. A background context costs one nil
+// check a cycle. A livelock (more than maxCycles cycles) or a sanitizer
+// violation stops it with a *sanity.Error.
+func runLockstep(ctx context.Context, cores []*Core, commits int64) (int, error) {
+	done := ctx.Done()
+	for live := true; live; {
+		live = false
+		for i, c := range cores {
+			if c.stats.Committed >= commits || c.done() {
+				continue
+			}
+			live = true
+			if done != nil && c.cycle%cancelCheckCycles == 0 {
+				select {
+				case <-done:
+					return i, fmt.Errorf("pipeline: run cancelled at cycle %d: %w",
+						c.cycle, context.Cause(ctx))
+				default:
+				}
+				if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+					return i, fmt.Errorf("pipeline: run cancelled at cycle %d: %w",
+						c.cycle, context.DeadlineExceeded)
+				}
+			}
+			if c.cycle > maxCycles {
+				return i, sanity.Errorf("core/livelock", c.cycle,
+					"exceeded %d cycles at frontier %d with %d instructions pulled (policy %s)",
+					maxCycles, c.win.frontier, c.win.counts().Insts, c.cfg.Policy)
+			}
+			c.step()
+			if c.sanErr != nil {
+				return i, c.sanErr
+			}
+		}
+	}
+	return 0, nil
+}
+
+// finish ends a run that stopped with runErr: it finalizes the statistics
+// and, if the run itself succeeded, reports the trace source's error.
+func (c *Core) finish(runErr error) (*Stats, error) {
+	st := c.finalize()
+	if runErr == nil {
+		if err := c.win.srcErr(); err != nil {
+			runErr = fmt.Errorf("pipeline: trace source: %w", err)
+		}
+	}
+	return st, runErr
 }
 
 // ---- ROB list / scheduler maintenance ----
@@ -845,7 +875,7 @@ func (c *Core) commitEntry(e *Entry) {
 		c.stats.OoOCommitted++
 	}
 	// The record is resident throughout the step that commits the entry
-	// (release happens at end of Step), so the cached pointer is still good.
+	// (release happens at end of step), so the cached pointer is still good.
 	c.win.commit(e.rec, e.idx)
 	if c.memWait.len() > 0 && (e.isMem() || e.isFence()) {
 		c.armFrontier()

@@ -17,11 +17,11 @@ func TestIdleFastForward(t *testing.T) {
 		cfg := testConfig(pk)
 		fast := NewCore(cfg, tr, meta)
 		skipped := int64(0)
-		for !fast.Done() {
+		for !fast.done() {
 			if fast.cycle < fast.idleUntil {
 				skipped++
 			}
-			fast.Step()
+			fast.step()
 		}
 		full := NewCore(cfg, tr, meta)
 		full.skipIdle = false
@@ -29,7 +29,7 @@ func TestIdleFastForward(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pk, err)
 		}
-		if got := fast.Finalize(); !reflect.DeepEqual(got, want) {
+		if got := fast.finalize(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: fast-forwarded Stats differ from full steps:\nfast: %+v\nfull: %+v", pk, *got, *want)
 		}
 		if share := float64(skipped) / float64(want.Cycles); share < 0.1 {

@@ -248,7 +248,7 @@ func (s *sanitizer) beforeWalk(c *Core) {
 // and committed residents remain on it), so conservation laws and every
 // scheduler structure are checkable by one walk.
 func (s *sanitizer) endCycle(c *Core) {
-	cyc := c.cycle - 1 // Step increments before this hook runs
+	cyc := c.cycle - 1 // step increments before this hook runs
 
 	// Commit frontiers only move forward.
 	if c.win.frontier < s.lastFrontier {

@@ -72,10 +72,10 @@ func stepUntilInFlight(t *testing.T, c *Core, n int) {
 		if c.robCount >= n {
 			return
 		}
-		if c.Done() {
+		if c.done() {
 			t.Fatal("run drained before reaching the wanted in-flight depth")
 		}
-		c.Step()
+		c.step()
 	}
 	t.Fatalf("never reached %d in-flight entries", n)
 }
@@ -87,8 +87,8 @@ func TestSanitizerCatchesPRFLeak(t *testing.T) {
 	c := NewCore(sanConfig(Noreba), tr, meta)
 	stepUntilInFlight(t, c, 4)
 	c.physUsed++ // simulated leak: a register neither allocated nor freed
-	c.Step()
-	assertViolation(t, c.SanityErr(), "prf/conservation")
+	c.step()
+	assertViolation(t, c.sanErr, "prf/conservation")
 }
 
 // TestSanitizerCatchesOccupancyDrift: same for the ROB occupancy counter.
@@ -97,8 +97,8 @@ func TestSanitizerCatchesOccupancyDrift(t *testing.T) {
 	c := NewCore(sanConfig(InOrder), tr, meta)
 	stepUntilInFlight(t, c, 4)
 	c.robOcc--
-	c.Step()
-	assertViolation(t, c.SanityErr(), "rob/occupancy")
+	c.step()
+	assertViolation(t, c.sanErr, "rob/occupancy")
 }
 
 // TestSanitizerCatchesROBDisorder: breaking the ROB's age order must be
@@ -117,8 +117,8 @@ func TestSanitizerCatchesROBDisorder(t *testing.T) {
 	}
 	a.robPrev, b.robNext = b, a
 	c.robHead = b
-	c.Step()
-	assertViolation(t, c.SanityErr(), "rob/alloc-order")
+	c.step()
+	assertViolation(t, c.sanErr, "rob/alloc-order")
 }
 
 // TestSanitizerCatchesFrontierRegression: the frontier must never move
@@ -128,21 +128,21 @@ func TestSanitizerCatchesFrontierRegression(t *testing.T) {
 	c := NewCore(sanConfig(InOrder), tr, meta)
 	stepUntilInFlight(t, c, 4)
 	c.san.lastFrontier = c.win.frontier + 1000
-	c.Step()
-	assertViolation(t, c.SanityErr(), "frontier/monotonic")
+	c.step()
+	assertViolation(t, c.sanErr, "frontier/monotonic")
 }
 
 // stepUntilCandidate runs the core until fn picks a member of the
 // commit-candidate set, and returns it.
 func stepUntilCandidate(t *testing.T, c *Core, fn func(*Entry) bool) *Entry {
 	t.Helper()
-	for i := 0; i < 10000 && !c.Done(); i++ {
+	for i := 0; i < 10000 && !c.done(); i++ {
 		for e := c.candQ.first(); e != nil; e = c.candQ.after(e.dispatchOrder) {
 			if fn(e) {
 				return e
 			}
 		}
-		c.Step()
+		c.step()
 	}
 	t.Fatal("no candidate matched")
 	return nil
@@ -157,8 +157,8 @@ func TestSanitizerCatchesMissingCandidate(t *testing.T) {
 	e := stepUntilCandidate(t, c, func(e *Entry) bool { return c.eligible(e, c.cycle, false, false) })
 	c.candQ.remove(e.dispatchOrder)
 	e.inCand = false
-	c.Step()
-	assertViolation(t, c.SanityErr(), "sched/cand-complete")
+	c.step()
+	assertViolation(t, c.sanErr, "sched/cand-complete")
 }
 
 // TestSanitizerCatchesCandidateDisorder: the walk's boundary break assumes
@@ -168,8 +168,8 @@ func TestSanitizerCatchesCandidateDisorder(t *testing.T) {
 	c := NewCore(sanConfig(SpecBR), tr, meta)
 	e := stepUntilCandidate(t, c, func(e *Entry) bool { return e != c.candQ.first() })
 	e.seq = -1
-	c.Step()
-	assertViolation(t, c.SanityErr(), "sched/cand-order")
+	c.step()
+	assertViolation(t, c.sanErr, "sched/cand-order")
 }
 
 // TestSanitizerCatchesDoubleCommit: retiring an already-committed entry is a
@@ -180,7 +180,7 @@ func TestSanitizerCatchesDoubleCommit(t *testing.T) {
 	stepUntilInFlight(t, c, 1)
 	e := &Entry{committed: true}
 	c.san.onCommit(c, e)
-	assertViolation(t, c.SanityErr(), "commit/lifecycle")
+	assertViolation(t, c.sanErr, "commit/lifecycle")
 }
 
 // TestSanitizerErrorSurfacesFromRun: once an invariant trips, Run must stop
@@ -215,17 +215,13 @@ func TestSanitizerFirstViolationWins(t *testing.T) {
 	c := NewCore(sanConfig(InOrder), tr, meta)
 	c.fail(sanity.Errorf("test/first", 1, "first"))
 	c.fail(sanity.Errorf("test/second", 2, "second"))
-	assertViolation(t, c.SanityErr(), "test/first")
+	assertViolation(t, c.sanErr, "test/first")
 }
 
-func assertViolation(t *testing.T, err error, invariant string) {
+func assertViolation(t *testing.T, serr *sanity.Error, invariant string) {
 	t.Helper()
-	if err == nil {
+	if serr == nil {
 		t.Fatalf("no violation reported, want %s", invariant)
-	}
-	serr, ok := sanity.As(err)
-	if !ok {
-		t.Fatalf("error %T is not a *sanity.Error", err)
 	}
 	if serr.Invariant != invariant {
 		t.Fatalf("invariant = %q (%v), want %q", serr.Invariant, serr, invariant)

@@ -49,21 +49,21 @@ func benchSteps(b *testing.B, pk PolicyKind) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c.Done() {
+		if c.done() {
 			b.StopTimer()
 			c = NewCore(cfg, tr, meta)
 			b.StartTimer()
 		}
-		c.Step()
+		c.step()
 	}
 }
 
 // BenchmarkStepIssue exercises the dependency-driven wakeup path: the Spec
 // policy retires everything as soon as it completes, so the run is bounded
-// by issue/writeback traffic and the ready-queue churn dominates each Step.
+// by issue/writeback traffic and the ready-queue churn dominates each step.
 func BenchmarkStepIssue(b *testing.B) { benchSteps(b, Spec) }
 
-// BenchmarkCommitPolicy times a steady-state Step under each commit policy,
+// BenchmarkCommitPolicy times a steady-state step under each commit policy,
 // isolating the per-policy cost of the candidate-queue walks and their
 // incremental boundary state.
 func BenchmarkCommitPolicy(b *testing.B) {
@@ -76,7 +76,7 @@ func BenchmarkCommitPolicy(b *testing.B) {
 // the quick figure scale (mcf and astar, half their default scale), from a
 // fresh core to the last commit, under each commit policy. It reports host
 // time per simulated cycle and per committed instruction. Unlike the MLP
-// kernel's steady-state Step above, a run includes the long memory stalls
+// kernel's steady-state step above, a run includes the long memory stalls
 // whose idle cycles the core fast-forwards and the candidate walks of a
 // real instruction mix, so ns/inst is what a figure pays per instruction.
 func BenchmarkRunWorkload(b *testing.B) {
@@ -118,7 +118,7 @@ func BenchmarkRunWorkload(b *testing.B) {
 }
 
 // BenchmarkNewCore reports what building a core costs before its first
-// Step: the caches, predictor and prefetcher tables, the window and queues.
+// step: the caches, predictor and prefetcher tables, the window and queues.
 func BenchmarkNewCore(b *testing.B) {
 	tr, meta := benchTrace(b)
 	cfg := SkylakeConfig()
@@ -132,21 +132,21 @@ func BenchmarkNewCore(b *testing.B) {
 var newCoreSink *Core
 
 // TestStepSteadyStateZeroAlloc is the tentpole's allocation contract: with
-// tracing and sanitizing disabled, a warmed core's Step performs zero heap
+// tracing and sanitizing disabled, a warmed core's step performs zero heap
 // allocations under every policy — entries come from the pool, completions
 // from the wheel, and every queue reuses its backing storage.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	tr, meta := benchTrace(t)
 	for _, pk := range allPolicies {
 		c := NewCore(testConfig(pk), tr, meta)
-		for i := 0; i < 10000 && !c.Done(); i++ {
-			c.Step()
+		for i := 0; i < 10000 && !c.done(); i++ {
+			c.step()
 		}
-		if c.Done() {
+		if c.done() {
 			t.Fatalf("%v: trace too short to reach a steady state", pk)
 		}
-		if n := testing.AllocsPerRun(200, func() { c.Step() }); n != 0 {
-			t.Errorf("%v: steady-state Step allocates %.3f objects per call, want 0", pk, n)
+		if n := testing.AllocsPerRun(200, func() { c.step() }); n != 0 {
+			t.Errorf("%v: steady-state step allocates %.3f objects per call, want 0", pk, n)
 		}
 	}
 }
@@ -241,14 +241,14 @@ leaf:
 		}
 	}
 
-	// Steady state on a recycled core: Reset itself and every Step reuse
+	// Steady state on a recycled core: Reset itself and every step reuse
 	// storage.
 	recycled.Reset(geometry(Noreba, false), tr.Source(), meta, states[false])
-	for i := 0; i < 10000 && !recycled.Done(); i++ {
-		recycled.Step()
+	for i := 0; i < 10000 && !recycled.done(); i++ {
+		recycled.step()
 	}
-	if n := testing.AllocsPerRun(200, func() { recycled.Step() }); n != 0 {
-		t.Errorf("recycled core's steady-state Step allocates %.3f objects per call, want 0", n)
+	if n := testing.AllocsPerRun(200, func() { recycled.step() }); n != 0 {
+		t.Errorf("recycled core's steady-state step allocates %.3f objects per call, want 0", n)
 	}
 }
 

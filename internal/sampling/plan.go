@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -265,38 +266,27 @@ func BuildPlanContext(ctx context.Context, img *program.Image, meta *compiler.Me
 	}
 
 	vecs := prof.vectors()
-	// dims are the per-interval timing columns — the detailed pilot CPI
-	// first (the primary control variate), then the functional memory and
-	// branch fingerprints. Each is appended to the clustering vectors and
-	// kept as the control-variate basis used to correct representative bias
-	// at estimate time.
+	// The per-interval timing columns appended to the clustering vectors are
+	// the detailed pilot CPI, the setup density and the functional memory
+	// and branch fingerprints; controlVariateBasis names the ones Estimate
+	// fits to correct representative bias.
 	//
 	// The pilot and the fingerprint replay the same stream, so both hang off
-	// one shared functional emulation (emulator.Broadcast) instead of
+	// one shared functional emulation (emulator.Fanout) instead of
 	// re-emulating: the bus pays one emulator pass for two consumers. The
 	// profiling pass above stays separate by design — its output feeds the
 	// degenerate-size precheck that decides whether the pilot is worth
 	// paying for at all — and the checkpoint-capture pass below cannot join
 	// either, because the capture positions are only known after clustering
 	// has consumed the pilot's output.
-	bus := emulator.NewBroadcast(emulator.NewSource(emulator.New(img), maxInsts), 0)
-	pilotView := bus.View()
-	fpView := bus.View()
+	var cpi, rate []float64
 	var fpDims [][]float64
-	var fpErr error
-	fpDone := make(chan struct{})
-	go func() {
-		defer close(fpDone)
-		defer fpView.Close()
-		fpDims, fpErr = fingerprintDims(ctx, fpView, prof)
-	}()
-	cpi, rate, err := pilotCPI(ctx, pilotView, meta, prof, pilotPolicy)
-	pilotView.Close()
-	<-fpDone
-	if err == nil {
-		err = fpErr
-	}
-	if err != nil {
+	var pilotErr, fpErr error
+	emulator.Fanout(emulator.NewSource(emulator.New(img), maxInsts),
+		func(v *emulator.BusView) { fpDims, fpErr = fingerprintDims(ctx, v, prof) },
+		func(v *emulator.BusView) { cpi, rate, pilotErr = pilotCPI(ctx, v, meta, prof, pilotPolicy) },
+	)
+	if err := cmp.Or(pilotErr, fpErr); err != nil {
 		return nil, err
 	}
 	pl.warmRate = rate
@@ -304,7 +294,6 @@ func BuildPlanContext(ctx context.Context, img *program.Image, meta *compiler.Me
 	for i := range prof.Intervals {
 		pl.warmCum[i+1] = pl.warmCum[i] + rate[i]*float64(prof.Intervals[i].Insts)
 	}
-	dims := [][]float64{cpi}
 	// Setup-annotation density: policies that fetch setup instructions
 	// (FreeSetup off) pay per-interval costs proportional to it, and no
 	// FreeSetup pilot or fingerprint can see them.
@@ -314,21 +303,19 @@ func BuildPlanContext(ctx context.Context, img *program.Image, meta *compiler.Me
 			setup[i] = float64(iv.Setup) / float64(iv.Insts)
 		}
 	}
-	if nd := normalizeMean1(setup); nd != nil {
-		dims = append(dims, nd)
+	setup = normalizeMean1(setup) // nil without setup instructions
+	cols := [][]float64{cpi}
+	if setup != nil {
+		cols = append(cols, setup)
 	}
-	dims = append(dims, fpDims...)
-	pilot := make([][]float64, len(vecs))
-	for nd, d := range dims {
+	cols = append(cols, fpDims...)
+	for _, d := range cols {
 		for i := range vecs {
 			vecs[i] = append(vecs[i], d[i])
-			if nd < 2 {
-				pilot[i] = append(pilot[i], d[i])
-			}
 		}
 	}
 	assign := KMeans(vecs, p.MaxK, p.KMeansIters, p.Seed)
-	pl.Reps = selectReps(prof, vecs, assign, pilot, p)
+	pl.Reps = selectReps(prof, vecs, assign, controlVariateBasis(cpi, setup, fpDims), p)
 
 	var detail int64
 	for i := range pl.Reps {
@@ -347,6 +334,21 @@ func BuildPlanContext(ctx context.Context, img *program.Image, meta *compiler.Me
 		return nil, err
 	}
 	return pl, nil
+}
+
+// controlVariateBasis names the timing columns Estimate's control variate
+// fits a configuration's representative CPIs on (Rep.PilotRep): the pilot
+// CPI, then the setup density where the program has setup instructions,
+// else the first functional fingerprint column (the memory-latency one,
+// when it has any mass).
+func controlVariateBasis(cpi, setup []float64, fp [][]float64) [][]float64 {
+	switch {
+	case setup != nil:
+		return [][]float64{cpi, setup}
+	case len(fp) > 0:
+		return [][]float64{cpi, fp[0]}
+	}
+	return [][]float64{cpi}
 }
 
 // pilotPolicy is the reference commit policy for the single detailed pilot
@@ -451,8 +453,9 @@ func fillMean(d []float64) {
 // selectReps turns a cluster assignment into representatives: per cluster,
 // the member interval closest to the cluster centroid (lowest index on
 // ties), weighted by the cluster's committed-instruction mass and carrying
-// the pilot control-variate basis for its cycle correction.
-func selectReps(prof *Profile, vecs [][]float64, assign []int, pilot [][]float64, p Params) []Rep {
+// the control-variate basis (columns over intervals) for its cycle
+// correction.
+func selectReps(prof *Profile, vecs [][]float64, assign []int, basis [][]float64, p Params) []Rep {
 	k := 0
 	for _, c := range assign {
 		if c+1 > k {
@@ -506,15 +509,18 @@ func selectReps(prof *Profile, vecs [][]float64, assign []int, pilot [][]float64
 		if ri < 0 {
 			continue // empty cluster (k > intervals)
 		}
-		nd := len(pilot[ri])
+		nd := len(basis)
+		pilotRep, clusterPilot := make([]float64, nd), make([]float64, nd)
+		for j, col := range basis {
+			pilotRep[j] = col[ri]
+		}
 		var clusterCommitted int64
-		clusterPilot := make([]float64, nd)
 		for i, ci := range assign {
 			if ci == c {
 				com := prof.Intervals[i].Committed()
 				clusterCommitted += com
 				for j := 0; j < nd; j++ {
-					clusterPilot[j] += pilot[i][j] * float64(com)
+					clusterPilot[j] += basis[j][i] * float64(com)
 				}
 			}
 		}
@@ -539,7 +545,7 @@ func selectReps(prof *Profile, vecs [][]float64, assign []int, pilot [][]float64
 			WarmCommits:      warmCommits,
 			MeasureCommits:   iv.Committed(),
 			SrcBound:         end - warmStart + p.cooldownInsts(),
-			PilotRep:         cloneVec(pilot[ri]),
+			PilotRep:         pilotRep,
 			PilotCluster:     clusterPilot,
 		})
 	}

@@ -1,7 +1,9 @@
 package sampling
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/noreba-sim/noreba/internal/compiler"
@@ -233,6 +235,53 @@ func TestPlanRepInvariants(t *testing.T) {
 	}
 	if pl.DetailInsts() >= pl.Profile.TotalInsts/2 {
 		t.Fatalf("sampled plan does not halve cost: %d detail vs %d total", pl.DetailInsts(), pl.Profile.TotalInsts)
+	}
+}
+
+// TestControlVariateBasis pins the columns Estimate's control variate fits
+// (Rep.PilotRep): the pilot CPI and the setup density for a quick workload
+// with setup instructions, the pilot CPI and the first fingerprint column
+// for one without.
+func TestControlVariateBasis(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		setup bool
+	}{{"mcf", true}, {"CRC32", false}} {
+		res := compileWorkload(t, tc.name, 2)
+		pl, err := BuildPlan(res.Image, res.Meta, 1<<20, Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Full {
+			t.Fatalf("%s: plan fell back to full simulation", tc.name)
+		}
+		stream := func() emulator.TraceSource { return emulator.NewSource(emulator.New(res.Image), 1<<20) }
+		cpi, _, err := pilotCPI(ctx, stream(), res.Meta, pl.Profile, pilotPolicy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := fingerprintDims(ctx, stream(), pl.Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		density := make([]float64, len(pl.Profile.Intervals))
+		for i, iv := range pl.Profile.Intervals {
+			density[i] = float64(iv.Setup) / float64(iv.Insts)
+		}
+		second := normalizeMean1(density)
+		if (second != nil) != tc.setup {
+			t.Fatalf("%s: has setup instructions %v, want %v", tc.name, second != nil, tc.setup)
+		}
+		if second == nil {
+			second = fp[0]
+		}
+		for _, rep := range pl.Reps {
+			want := []float64{cpi[rep.Interval], second[rep.Interval]}
+			if !reflect.DeepEqual(rep.PilotRep, want) {
+				t.Errorf("%s: interval %d basis %v, want %v", tc.name, rep.Interval, rep.PilotRep, want)
+			}
+		}
 	}
 }
 

@@ -17,9 +17,9 @@
 package noreba
 
 import (
+	"cmp"
 	"context"
 	"io"
-	"sync"
 
 	"github.com/noreba-sim/noreba/internal/compiler"
 	"github.com/noreba-sim/noreba/internal/emulator"
@@ -189,38 +189,23 @@ func NewTraceBus(src TraceSource, skew int) *TraceBus { return emulator.NewBroad
 
 // SimulateFanoutContext runs every configuration over ONE shared functional
 // stream: src is wrapped in a broadcast trace bus and each config's core
-// consumes its own lockstep view on its own goroutine, paying the emulation
+// consumes its own lockstep view (emulator.Fanout), paying the emulation
 // cost once instead of len(cfgs) times. Results are bit-identical to
 // independent SimulateSourceContext runs and are returned aligned with cfgs
 // alongside the first error (a failed core's slot holds its partial stats,
 // and the survivors still finish — an early-exiting core detaches from the
 // bus rather than wedging its siblings).
 func SimulateFanoutContext(ctx context.Context, cfgs []Config, src TraceSource, meta *compiler.Meta) ([]*Stats, error) {
-	bus := emulator.NewBroadcast(src, 0)
-	views := make([]*emulator.BusView, len(cfgs))
-	for i := range cfgs {
-		views[i] = bus.View()
-	}
 	stats := make([]*Stats, len(cfgs))
 	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i := range cfgs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer views[i].Close()
-			stats[i], errs[i] = pipeline.NewCoreFromSource(cfgs[i], views[i], meta).RunContext(ctx)
-		}(i)
-	}
-	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
+	cores := make([]func(*emulator.BusView), len(cfgs))
+	for i, cfg := range cfgs {
+		cores[i] = func(v *emulator.BusView) {
+			stats[i], errs[i] = pipeline.NewCoreFromSource(cfg, v, meta).RunContext(ctx)
 		}
 	}
-	return stats, firstErr
+	emulator.Fanout(src, cores...)
+	return stats, cmp.Or(errs...)
 }
 
 // Sampled simulation (SimPoint-style).

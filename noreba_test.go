@@ -90,3 +90,29 @@ func TestPublicConfigs(t *testing.T) {
 		t.Error("config tables missing")
 	}
 }
+
+// TestEngineSuiteWorkCounts pins the work BenchmarkEngineSuite's quick
+// figure suite does: one functional emulation per workload, 136 distinct
+// detailed simulations, and 720 Simulate calls served from them. The
+// committed BENCH_engine.json records simulateCalls 824 from an older
+// suite; this test, not that file, holds the current count. The peak
+// counters depend on goroutine scheduling and are not pinned.
+func TestEngineSuiteWorkCounts(t *testing.T) {
+	r := QuickRunner()
+	if err := runEngineSuite(r); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"EmulationsRun", r.EmulationsRun(), 8},
+		{"SimulationsRun", r.SimulationsRun(), 136},
+		{"SimulateCalls", r.SimulateCalls(), 720},
+		{"UniqueSimulations", int64(r.UniqueSimulations()), 136},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}

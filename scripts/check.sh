@@ -27,6 +27,13 @@ go build ./...
 # per-package timeout leaves too little headroom on a shared box.
 go test -race -timeout 20m ./...
 
+# The examples compile under `go build ./...` above but nothing else runs
+# them (examples/multicore is the only caller of multicore.System.Run
+# outside its tests): run each once, well under a second in total.
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null || { echo "check: $ex failed" >&2; exit 1; }
+done
+
 # The service binary must keep building even though nothing above imports it
 # (-o /dev/null: compile check only, no artifact in the repo root).
 go build -o /dev/null ./cmd/noreba-serve
